@@ -93,8 +93,8 @@ DEFAULT_CONTRACT: Dict[str, FrozenSet[str]] = {
     # Analysis/profiling over recorded telemetry: a leaf consumer that
     # only the CLI imports.  It reads spans and drives experiments via
     # the runtime; no simulation layer may import it back.
-    "profile": frozenset({"errors", "telemetry", "netsim", "runtime",
-                          "experiments"}),
+    "profile": frozenset({"errors", "telemetry", "netsim", "measure",
+                          "runtime", "experiments"}),
     "check": frozenset({"errors", "dnswire"}),
     "cli": _EVERYTHING,
     "__init__": _EVERYTHING,

@@ -1,18 +1,19 @@
 """The routed topology: hosts, links, forwarding, middleboxes, taps.
 
-Routing is shortest-path by mean link latency over an undirected graph
-(networkx).  Delivery walks the path hop by hop, sampling each link's
-latency, applying any middlebox at each traversed host, and re-routing when
-a middlebox rewrites the destination (NAT).  Packet taps observe datagrams
-at named hosts, which is how the experiments split "wireless" from
-"resolver" time exactly like the paper's tcpdump-at-P-GW method.
+Routing is shortest-path by mean link latency over an undirected graph,
+computed lazily per source by a stdlib Dijkstra.  Delivery walks the path
+hop by hop, sampling each link's latency, applying any middlebox at each
+traversed host, and re-routing when a middlebox rewrites the destination
+(NAT).  Packet taps observe datagrams at named hosts, which is how the
+experiments split "wireless" from "resolver" time exactly like the
+paper's tcpdump-at-P-GW method.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+import heapq
+from itertools import count
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import AddressError, RoutingError
 from repro.netsim.engine import Simulator
@@ -35,12 +36,15 @@ class Network:
     def __init__(self, sim: Simulator, streams: RandomStreams) -> None:
         self.sim = sim
         self.streams = streams
-        self._graph = nx.Graph()
+        #: Undirected adjacency: host -> neighbour -> route weight, each
+        #: neighbour dict in link-insertion order (the tie order).
+        self._adj: Dict[str, Dict[str, float]] = {}
         self._hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._ip_index: Dict[str, Host] = {}
         self._taps: List[Tap] = []
-        self._paths: Optional[Dict[str, Dict[str, List[str]]]] = None
+        #: Routing cache: source -> destination -> hop list.
+        self._paths: Dict[str, Dict[str, List[str]]] = {}
         #: Attached :class:`repro.telemetry.Telemetry`, or ``None``.
         #: Every instrumentation site in the stack checks this before
         #: doing any work, so an unobserved network runs the exact same
@@ -69,7 +73,7 @@ class Network:
         host = Host(name)
         host.network = self
         self._hosts[name] = host
-        self._graph.add_node(name)
+        self._adj[name] = {}
         for ip in addresses:
             self.assign_address(host, ip)
         return host
@@ -99,8 +103,8 @@ class Network:
         link = Link(a, b, latency, loss=loss, name=name,
                     bandwidth_mbps=bandwidth_mbps)
         self._links[self._link_key(a, b)] = link
-        self._graph.add_edge(a, b, weight=max(link.mean_latency, 1e-9))
-        self._paths = None  # invalidate the routing cache
+        self._adj[a][b] = self._adj[b][a] = max(link.mean_latency, 1e-9)
+        self._paths.clear()  # invalidate the routing cache
         return link
 
     def remove_link(self, a: str, b: str) -> Link:
@@ -114,8 +118,8 @@ class Network:
             link = self._links.pop(key)
         except KeyError:
             raise RoutingError(f"no link between {a} and {b}") from None
-        self._graph.remove_edge(a, b)
-        self._paths = None
+        del self._adj[a][b], self._adj[b][a]
+        self._paths.clear()
         return link
 
     @staticmethod
@@ -195,10 +199,13 @@ class Network:
 
     def path(self, src: str, dst: str) -> List[str]:
         """Host names from ``src`` to ``dst`` inclusive."""
-        if self._paths is None:
-            self._paths = dict(nx.all_pairs_dijkstra_path(self._graph))
+        paths = self._paths.get(src)
+        if paths is None:
+            if src not in self._adj:
+                raise RoutingError(f"no route from {src} to {dst}")
+            paths = self._paths[src] = _shortest_paths(self._adj, src)
         try:
-            return self._paths[src][dst]
+            return paths[dst]
         except KeyError:
             raise RoutingError(f"no route from {src} to {dst}") from None
 
@@ -368,3 +375,31 @@ class Network:
                     "repro_net_drops_total",
                     "datagrams dropped in transit")
             counter.inc(reason=reason)
+
+
+def _shortest_paths(adj: Dict[str, Dict[str, float]],
+                    src: str) -> Dict[str, List[str]]:
+    """Dijkstra from ``src``: the hop list to every reachable host.
+
+    Heap entries are ``(distance, push order, host)`` and a host's path
+    is replaced only by a strictly shorter one, so among equal-cost
+    routes the one reached first through link-insertion order wins.
+    Routes (and every digest built on them) depend on nothing else.
+    """
+    paths = {src: [src]}
+    best = {src: 0.0}
+    settled: Set[str] = set()
+    order = count()
+    heap = [(0.0, next(order), src)]
+    while heap:
+        dist, _, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for nbr, weight in adj[node].items():
+            nbr_dist = dist + weight
+            if nbr not in settled and nbr_dist < best.get(nbr, float("inf")):
+                best[nbr] = nbr_dist
+                heapq.heappush(heap, (nbr_dist, next(order), nbr))
+                paths[nbr] = paths[node] + [nbr]
+    return paths

@@ -1,7 +1,7 @@
 """``python -m repro.profile`` — standalone SLO evaluation.
 
 Evaluates an ``.slo`` rule file against existing budget/metrics
-artifacts without importing the simulator, so a CI gate can run it on
+artifacts without running a simulation, so a CI gate can run it on
 uploaded artifacts alone.  The full ``repro profile`` harness lives
 behind ``python -m repro.cli profile``.
 """

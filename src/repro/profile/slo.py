@@ -64,7 +64,7 @@ import json
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Tuple, Union)
 
-from repro.profile.budget import percentile
+from repro.measure.stats import percentile
 
 #: Metric names answerable from the telemetry-artifact histograms.
 _HISTOGRAM_METRICS = {"resolve_ms": "repro_lookup_latency_ms"}

@@ -126,7 +126,8 @@ class TestContract:
         # profile is a leaf analysis consumer: it may read the whole
         # stack below it but nothing may import it back.
         assert layering.DEFAULT_CONTRACT["profile"] == frozenset(
-            {"errors", "telemetry", "netsim", "runtime", "experiments"})
+            {"errors", "telemetry", "netsim", "measure", "runtime",
+             "experiments"})
         assert "profile" in layering.SIM_LAYERS
         for package, allowed in layering.DEFAULT_CONTRACT.items():
             if package not in ("profile", "cli", "__init__", "__main__"):

@@ -7,10 +7,32 @@ import pytest
 
 from repro.check import runner
 from repro.check.findings import Baseline, Finding
+from repro.check.sources import load_tree
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
+OWN_SOURCE = str(pathlib.Path(__file__).resolve().parents[2] / "src" / "repro")
 
 VIOLATION = "import time\nnow = time.time()\n"
+
+#: Rules of the per-file passes; every other finding comes from the
+#: whole-program passes (rng, races, hotpath).
+PER_FILE_RULES = {rule for name in ("determinism", "layering", "conformance")
+                  for rule in runner.ANALYZER_RULES[name]}
+
+
+@pytest.fixture(scope="session")
+def inventory():
+    """Every analyzer over src/repro, inline allows ignored: one scan."""
+    return runner.run_check([OWN_SOURCE], include_suppressed=True)
+
+
+@pytest.fixture(scope="session")
+def unsuppressed(inventory):
+    """The inventory findings no inline allow covers: a plain run's report."""
+    modules = {module.rel: module for module in load_tree([OWN_SOURCE])}
+    return [finding for finding in inventory.findings
+            if finding.path not in modules
+            or not modules[finding.path].is_suppressed(finding.line,
+                                                       finding.rule)]
 
 
 def write_violation(tmp_path):
@@ -20,12 +42,10 @@ def write_violation(tmp_path):
 
 
 class TestRunCheck:
-    def test_clean_tree_acceptance(self):
-        # The merge gate of this PR: src/repro itself must be clean.
-        report = runner.run_check([str(ROOT / "src" / "repro")])
-        assert report.ok, report.render_text()
-        assert report.findings == []
-        assert report.scanned > 50
+    def test_clean_tree_acceptance(self, inventory, unsuppressed):
+        # The merge gate: src/repro itself must be clean.
+        assert unsuppressed == [], inventory.render_text()
+        assert inventory.scanned > 50
 
     def test_violation_reported(self, tmp_path):
         write_violation(tmp_path)
@@ -49,9 +69,9 @@ class TestRunCheck:
 
 
 class TestCli:
-    def test_exit_zero_on_clean_tree(self, capsys):
-        assert runner.main([str(ROOT / "src" / "repro")]) == 0
-        out = capsys.readouterr().out
+    def test_exit_zero_on_clean_tree(self, own_source_check_cli):
+        code, out = own_source_check_cli
+        assert code == 0
         assert "repro check: clean" in out
 
     def test_exit_one_on_violation_fixture(self, tmp_path, capsys):
@@ -211,23 +231,18 @@ class TestWholeProgramPasses:
                      "HOT001", "HOT003"):
             assert rule in runner.ALL_RULES
 
-    def test_clean_tree_under_new_passes(self):
+    def test_clean_tree_under_new_passes(self, unsuppressed):
         # The merge gate: the whole-program passes report nothing
         # unsuppressed on src/repro itself.
-        report = runner.run_check(
-            [str(ROOT / "src" / "repro")],
-            analyzers=["rng", "races", "hotpath"])
-        assert report.ok, report.render_text()
+        assert [finding for finding in unsuppressed
+                if finding.rule not in PER_FILE_RULES] == []
 
-    def test_include_suppressed_sees_inventory(self):
+    def test_include_suppressed_sees_inventory(self, inventory):
         # The HOT/RNG/RACE allows in-tree become visible to inventory
         # runs; the suppressed findings exist and are rule-tagged.
-        report = runner.run_check(
-            [str(ROOT / "src" / "repro")],
-            analyzers=["rng", "races", "hotpath"],
-            include_suppressed=True)
-        assert not report.ok
-        assert set(report.counts_by_rule()) <= {
+        rules = set(inventory.counts_by_rule()) - PER_FILE_RULES
+        assert rules
+        assert rules <= {
             "RNG001", "RNG002", "RNG003", "RNG004", "RNG005",
             "RACE001", "RACE002", "RACE003", "RACE004",
             "HOT001", "HOT002", "HOT003"}

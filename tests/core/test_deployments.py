@@ -6,6 +6,7 @@ from repro.core.deployments import (
     DEPLOYMENT_KEYS,
     DEPLOYMENT_LABELS,
     TESTBED_5G,
+    TESTBED_LTE,
     build_testbed,
 )
 from repro.measure import measure_deployment_queries, summarize
@@ -82,6 +83,29 @@ class TestFigure5Shape:
         nr_wireless = summarize([m.wireless_ms for m in nr_ms]).mean
         assert nr_wireless < lte_wireless / 3
         assert nr < lte
+
+    def test_5g_projection_grows_the_mec_boost(self):
+        # §4: 5G "will drastically reduce" the wireless leg, "resulting
+        # in even greater end-to-end boost for MEC-CDN".
+        def sweep(profile):
+            means, wireless = {}, {}
+            for key in DEPLOYMENT_KEYS:
+                _, measurements = mean_latency(key, seed=42, count=20,
+                                               profile=profile)
+                means[key] = summarize(
+                    [m.latency_ms for m in measurements]).mean
+                wireless[key] = summarize(
+                    [m.wireless_ms for m in measurements]).mean
+            return means, wireless
+
+        means_lte, wireless_lte = sweep(profile=TESTBED_LTE)
+        means_5g, wireless_5g = sweep(profile=TESTBED_5G)
+        mec = "mec-ldns-mec-cdns"
+        assert wireless_5g[mec] < wireless_lte[mec] / 3
+        assert means_5g[mec] < 10
+        boost_lte = means_lte["cloudflare-dns"] / means_lte[mec]
+        boost_5g = means_5g["cloudflare-dns"] / means_5g[mec]
+        assert boost_5g > boost_lte * 1.5
 
 
 class TestMeasurementHarness:

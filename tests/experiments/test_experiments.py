@@ -51,6 +51,16 @@ class TestTable1:
         assert "a0.muscache.com" in domains
         assert "q-cf.bstatic.com" in domains
 
+    def test_rows_are_the_papers_sites_and_domains(self):
+        rows = {row.site: row.domain for row in run_table1().rows}
+        assert rows == {
+            "Airbnb": "a0.muscache.com",
+            "Booking.com": "q-cf.bstatic.com",
+            "TripAdvisor": "static.tacdn.com",
+            "Agoda": "cdn0.agoda.net",
+            "Expedia": "a.cdn.intentmedia.net",
+        }
+
     def test_render(self):
         text = run_table1().render()
         assert "Airbnb" in text
@@ -64,6 +74,12 @@ class TestTable2:
         entities = {row.entity for row in result.rows}
         assert "MEC Provider" in entities
         assert "CDN Brokers" in entities
+
+    def test_entities_are_the_papers(self):
+        assert {row.entity for row in run_table2().rows} == {
+            "Cellular Providers", "CDN Providers", "DNS Provider",
+            "Web Provider", "Cloud Provider", "CDN Brokers", "MEC Provider",
+        }
 
     def test_multi_role_entities_consistent(self):
         result = run_table2()

@@ -1,9 +1,8 @@
-"""Benchmark: DNS continuity across an inter-edge handoff (extension).
+"""DNS continuity across an inter-edge handoff between two MEC-CDN sites.
 
 The paper's §3 design switches the UE's DNS target "as part of the
-cellular hand-off process".  This benchmark measures resolution latency
-and edge-locality immediately before and after a handoff between two
-MEC-CDN sites.
+cellular hand-off process".  Resolution must stay edge-local and inside
+the 20 ms envelope on both sides of the handoff.
 """
 
 from repro.cdn import ContentCatalog
@@ -51,37 +50,18 @@ def build_two_site_world(seed=19):
     return sim, net, ue, cells, sites
 
 
-def run_handoff_measurement():
+def test_resolution_stays_edge_local_across_handoff():
     sim, net, ue, cells, sites = build_two_site_world()
 
     def resolve():
-        stub = ue.stub()
-        return sim.run_until_resolved(sim.spawn(stub.query(CONTENT)))
+        return sim.run_until_resolved(sim.spawn(ue.stub().query(CONTENT)))
 
     before = [resolve() for _ in range(8)]
     HandoffController(net).handoff(ue, cells[1])
     after = [resolve() for _ in range(8)]
-    local_before = sum(
-        r.addresses[0] in [c.endpoint.ip for c in sites[0].caches]
-        for r in before)
-    local_after = sum(
-        r.addresses[0] in [c.endpoint.ip for c in sites[1].caches]
-        for r in after)
-    mean_before = sum(r.query_time_ms for r in before) / len(before)
-    mean_after = sum(r.query_time_ms for r in after) / len(after)
-    return local_before, local_after, mean_before, mean_after
-
-
-def test_mobility_handoff(benchmark):
-    local_before, local_after, mean_before, mean_after = benchmark.pedantic(
-        run_handoff_measurement, rounds=2, iterations=1)
-    # Every answer is edge-local on both sides of the handoff...
-    assert local_before == 8
-    assert local_after == 8
-    # ...and the latency stays in the MEC envelope throughout.
-    assert mean_before < 20
-    assert mean_after < 20
-    benchmark.extra_info["mean_ms_before"] = round(mean_before, 1)
-    benchmark.extra_info["mean_ms_after"] = round(mean_after, 1)
-    print(f"\nresolution stays edge-local across the handoff: "
-          f"{mean_before:.1f} ms -> {mean_after:.1f} ms")
+    for answers, site in ((before, sites[0]), (after, sites[1])):
+        local_ips = [cache.endpoint.ip for cache in site.caches]
+        # Every answer is edge-local on both sides of the handoff...
+        assert all(r.addresses[0] in local_ips for r in answers)
+        # ...and the latency stays in the MEC envelope throughout.
+        assert sum(r.query_time_ms for r in answers) / len(answers) < 20

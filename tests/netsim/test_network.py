@@ -1,5 +1,7 @@
 """Tests for topology, forwarding, middleboxes, sockets, and traces."""
 
+import random
+
 import pytest
 
 from repro.errors import AddressError, QueryTimeout, RoutingError, SocketError
@@ -82,6 +84,100 @@ class TestTopology:
         b = net.add_host("b", "1.0.0.2")
         net.assign_address(b, "198.51.100.1")
         assert net.host_for_ip("198.51.100.1") is b
+
+
+def build_graph(network, hosts, links):
+    """Hosts by name plus constant-latency links: links = (a, b, ms)."""
+    for index, name in enumerate(hosts):
+        network.add_host(name, f"1.0.{index // 250}.{index % 250 + 1}")
+    for a, b, latency in links:
+        network.add_link(a, b, Constant(latency))
+
+
+DIAMOND = [("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)]
+
+
+class TestRouting:
+    """Equal-cost ties resolve by link-insertion order, reproducibly."""
+
+    def test_equal_cost_diamond_takes_the_first_linked_branch(self, net):
+        build_graph(net, "abcd", DIAMOND)
+        assert net.path("a", "d") == ["a", "b", "d"]
+        assert net.path("d", "a") == ["d", "b", "a"]
+        assert net.path("b", "c") == ["b", "a", "c"]
+        assert net.path("c", "b") == ["c", "a", "b"]
+
+    def test_diamond_follows_link_order_not_host_names(self, net):
+        build_graph(net, "abcd", [DIAMOND[1], DIAMOND[3], DIAMOND[0],
+                                  DIAMOND[2]])
+        assert net.path("a", "d") == ["a", "c", "d"]
+        assert net.path("d", "a") == ["d", "c", "a"]
+
+    def test_relinked_neighbour_moves_to_the_end_of_the_tie_order(self, net):
+        build_graph(net, "abcd", DIAMOND)
+        assert net.path("a", "d") == ["a", "b", "d"]
+        net.remove_link("a", "b")
+        net.add_link("a", "b", Constant(1))
+        assert net.path("a", "d") == ["a", "c", "d"]
+        assert net.path("b", "c") == ["b", "d", "c"]
+        assert net.path("d", "a") == ["d", "b", "a"]
+
+    def test_link_changes_invalidate_cached_paths(self, net):
+        build_graph(net, "abc", [("a", "b", 1), ("b", "c", 1)])
+        assert net.path("a", "c") == ["a", "b", "c"]
+        net.remove_link("b", "c")
+        with pytest.raises(RoutingError):
+            net.path("a", "c")
+        net.add_link("a", "c", Constant(5))
+        assert net.path("a", "c") == ["a", "c"]
+        assert net.path("c", "b") == ["c", "a", "b"]
+
+    def test_unknown_source_raises(self, net):
+        build_graph(net, "ab", [("a", "b", 1)])
+        with pytest.raises(RoutingError):
+            net.path("ghost", "a")
+        with pytest.raises(RoutingError):
+            net.path("a", "ghost")
+
+    def test_unreachable_destination_raises(self, net):
+        build_graph(net, "abc", [("a", "b", 1)])
+        with pytest.raises(RoutingError):
+            net.path("a", "c")
+        assert net.path("c", "c") == ["c"]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_paths_are_minimal_over_every_simple_path(self, seed):
+        rng = random.Random(seed)
+        hosts = [f"h{i}" for i in range(rng.randint(2, 7))]
+        pairs = [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]]
+        links = [(a, b, rng.choice((0.5, 1, 1, 2, 3)))
+                 for a, b in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        net = Network(Simulator(), RandomStreams(seed))
+        build_graph(net, hosts, links)
+        weights = {}
+        for a, b, latency in links:
+            weights.setdefault(a, {})[b] = latency
+            weights.setdefault(b, {})[a] = latency
+
+        def cheapest(node, dst, visited):
+            if node == dst:
+                return 0.0
+            costs = [latency + cheapest(nbr, dst, visited | {nbr})
+                     for nbr, latency in weights.get(node, {}).items()
+                     if nbr not in visited]
+            return min(costs, default=float("inf"))
+
+        for src in hosts:
+            for dst in hosts:
+                best = cheapest(src, dst, {src})
+                if best == float("inf"):
+                    with pytest.raises(RoutingError):
+                        net.path(src, dst)
+                    continue
+                hops = net.path(src, dst)
+                assert (hops[0], hops[-1]) == (src, dst)
+                assert len(set(hops)) == len(hops)
+                assert net.path_mean_latency(src, dst) == pytest.approx(best)
 
 
 class TestDelivery:

@@ -1,13 +1,18 @@
-"""API quality gates: documentation and export hygiene.
+"""API quality gates: documentation, export hygiene, dependencies.
 
 Every public module, class, and function in the library must carry a
-docstring, and every name exported via ``__all__`` must resolve — the
-kind of checks a release pipeline runs.
+docstring, every name exported via ``__all__`` must resolve, and the
+whole package must import on the standard library alone — the kind of
+checks a release pipeline runs.
 """
 
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +82,31 @@ def test_dunder_all_resolves(module):
     missing = [name for name in module.__all__
                if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ has dead names: {missing}"
+
+
+#: Refuses every import from outside the standard library, then imports
+#: every module and builds the experiment registry.
+_STDLIB_ONLY_PROBE = """
+import importlib, pkgutil, sys
+
+class StdlibOnly:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top != "repro" and top not in sys.stdlib_module_names:
+            raise ImportError(f"third-party import: {name}")
+
+sys.meta_path.insert(0, StdlibOnly())
+import repro
+for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+    importlib.import_module(info.name)
+from repro.experiments.registry import builtin_registry
+assert builtin_registry().names()
+"""
+
+
+def test_package_runs_on_the_standard_library_alone():
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = subprocess.run([sys.executable, "-c", _STDLIB_ONLY_PROBE],
+                           env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr

@@ -214,11 +214,10 @@ class TestCheckCommand:
         assert args.analyzers == ["determinism"]
         assert args.format == "json"
 
-    def test_check_clean_on_own_source(self, capsys):
-        import pathlib
-        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-        assert main(["check", str(src)]) == 0
-        assert "repro check: clean" in capsys.readouterr().out
+    def test_check_clean_on_own_source(self, own_source_check_cli):
+        code, out = own_source_check_cli
+        assert code == 0
+        assert "repro check: clean" in out
 
     def test_check_fails_on_violation(self, tmp_path, capsys):
         (tmp_path / "dirty.py").write_text("import time\nt = time.time()\n")
