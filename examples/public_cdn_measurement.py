@@ -10,27 +10,25 @@ attribution.
 Run:  python examples/public_cdn_measurement.py
 """
 
-from repro.experiments import run_figure2, run_figure3, run_table1
-from repro.experiments.figure2 import check_shape as check_figure2
-from repro.experiments.figure3 import check_shape as check_figure3
+from repro.experiments import figure2, figure3, table1
 
 
 def main() -> None:
     print(__doc__)
-    print(run_table1().render())
+    print(table1.EXPERIMENT.run_serial().render())
     print()
 
-    figure2 = run_figure2(trials=25, seed=1)
-    print(figure2.render())
-    violations = check_figure2(figure2)
+    latency = figure2.EXPERIMENT.run_serial(trials=25, seed=1)
+    print(latency.render())
+    violations = figure2.EXPERIMENT.check_shape(latency)
     print(f"\nFigure 2 shape claims: "
           f"{'ALL HOLD' if not violations else violations}")
     print("  (cellular >> wifi > wired for every domain, with the "
           "cellular bars also the most variable)\n")
 
-    figure3 = run_figure3(trials=40, seed=1)
-    print(figure3.render())
-    violations = check_figure3(figure3)
+    answers = figure3.EXPERIMENT.run_serial(trials=40, seed=1)
+    print(answers.render())
+    violations = figure3.EXPERIMENT.check_shape(answers)
     print(f"Figure 3 shape claims: "
           f"{'ALL HOLD' if not violations else violations}")
     print("  (the same domain resolves into different provider pools "

@@ -31,6 +31,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 #: ring so extracted and in-router selections stay identical.
 DEFAULT_VNODES = 64
 
+#: Recognized traffic-allocation policies, shared by the traffic router
+#: and the population workload engine (see ``TrafficRouter.allocation``).
+ALLOCATION_POLICIES = ("content", "client", "client-bounded")
+
 
 def hash_point(material: str) -> int:
     """The ring coordinate of ``material`` (sha256, first 8 bytes)."""

@@ -20,7 +20,8 @@ from __future__ import annotations
 import ipaddress
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.cdn.allocation import ConsistentAllocator, HashRing
+from repro.cdn.allocation import (ALLOCATION_POLICIES, ConsistentAllocator,
+                                  HashRing)
 from repro.cdn.cache_server import CacheServer
 from repro.dnswire.edns import ClientSubnet
 from repro.dnswire.message import Message, ResourceRecord, make_response
@@ -74,15 +75,6 @@ class CoverageZone(NamedTuple):
         return best >= 0, max(best, 0)
 
 
-#: Backwards-compatible alias: the ring now lives in
-#: :mod:`repro.cdn.allocation` so the workload layer can share the exact
-#: hash geometry, but router-local users (and tests) keep this name.
-_HashRing = HashRing
-
-#: Recognized traffic-allocation policies (see :class:`TrafficRouter`).
-ALLOCATION_POLICIES = ("content", "client", "client-bounded")
-
-
 class TrafficRouter(DnsServer):
     """Authoritative C-DNS for ``cdn_domain``."""
 
@@ -124,9 +116,9 @@ class TrafficRouter(DnsServer):
         self.next_tier = next_tier
         self.content_available = content_available
         self.ecs_enabled = ecs_enabled
-        self._rings = {zone.name: _HashRing(zone.caches) for zone in zones}
+        self._rings = {zone.name: HashRing(zone.caches) for zone in zones}
         if default_zone is not None and default_zone.name not in self._rings:
-            self._rings[default_zone.name] = _HashRing(default_zone.caches)
+            self._rings[default_zone.name] = HashRing(default_zone.caches)
         self._allocators: Dict[str, ConsistentAllocator] = {}
         self._caches_by_name: Dict[str, Dict[str, CacheServer]] = {}
         if allocation == "client-bounded":
@@ -171,14 +163,14 @@ class TrafficRouter(DnsServer):
             if zone.name == zone_name:
                 updated = zone._replace(caches=list(caches))
                 self.zones[index] = updated
-                self._rings[zone_name] = _HashRing(updated.caches)
+                self._rings[zone_name] = HashRing(updated.caches)
                 if self.allocation == "client-bounded":
                     self._install_allocator(updated)
                 self.zone_updates += 1
                 return
         if self.default_zone is not None and self.default_zone.name == zone_name:
             self.default_zone = self.default_zone._replace(caches=list(caches))
-            self._rings[zone_name] = _HashRing(self.default_zone.caches)
+            self._rings[zone_name] = HashRing(self.default_zone.caches)
             if self.allocation == "client-bounded":
                 self._install_allocator(self.default_zone)
             self.zone_updates += 1

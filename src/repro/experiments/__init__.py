@@ -10,36 +10,10 @@
 | :mod:`repro.experiments.ecs`    | §4 ECS sensitivity experiment        |
 | :mod:`repro.experiments.resilience` | §3 fault-injection chaos grid    |
 
-Each module exposes ``run(...)`` returning a structured result with a
-``render()`` method that prints the paper-comparable rows/series.
+Each module defines one :class:`~repro.runtime.Experiment` as
+``EXPERIMENT``; :func:`repro.experiments.registry.builtin_registry`
+holds them all.  ``EXPERIMENT.run_serial(**overrides)`` returns a
+structured result whose ``render()`` prints the paper-comparable
+rows/series, and ``EXPERIMENT.check_shape(result)`` lists the violated
+paper claims.
 """
-
-from repro.experiments.table1 import run as run_table1
-from repro.experiments.table2 import run as run_table2
-from repro.experiments.figure2 import run as run_figure2
-from repro.experiments.figure3 import run as run_figure3
-from repro.experiments.figure5 import run as run_figure5
-from repro.experiments.ecs import run as run_ecs
-from repro.experiments.mislocalization import run as run_mislocalization
-from repro.experiments.disaggregation import run as run_disaggregation
-from repro.experiments.envelope_sweep import run as run_envelope_sweep
-from repro.experiments.overload import run as run_overload
-from repro.experiments.access_latency import run as run_access_latency
-from repro.experiments.capacity import run as run_capacity
-from repro.experiments.resilience import run as run_resilience
-
-__all__ = [
-    "run_access_latency",
-    "run_capacity",
-    "run_disaggregation",
-    "run_envelope_sweep",
-    "run_overload",
-    "run_resilience",
-    "run_table1",
-    "run_table2",
-    "run_figure2",
-    "run_figure3",
-    "run_figure5",
-    "run_ecs",
-    "run_mislocalization",
-]

@@ -114,37 +114,28 @@ class AccessLatencyExperiment(Experiment):
                                    rounds=int(params["rounds"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        mec = result.row("mec-ldns-mec-cdns")
+        worst = max(result.rows, key=lambda row: row.total_ms)
+        if not worst.total_ms / mec.total_ms > 4:
+            violations.append(
+                f"access-latency reduction only "
+                f"{worst.total_ms / mec.total_ms:.1f}x — not 'drastic'")
+        # The fetch leg is MEC-local everywhere, so it must be roughly flat:
+        # the spread between deployments comes from DNS.
+        fetches = [row.fetch_ms for row in result.rows]
+        if max(fetches) - min(fetches) > 0.3 * max(fetches):
+            violations.append("fetch leg varies too much across deployments")
+        for row in result.rows:
+            if row.cache_hit_rate < 1.0:
+                violations.append(f"{row.key}: content not served from the "
+                                  f"warmed MEC cache")
+        dns_gap = worst.dns_ms - mec.dns_ms
+        total_gap = worst.total_ms - mec.total_ms
+        if not 0.9 <= dns_gap / total_gap <= 1.1:
+            violations.append("the access-latency gap is not DNS-dominated")
+        return violations
 
 
 EXPERIMENT = AccessLatencyExperiment()
-
-
-def run(rounds: int = DEFAULT_ROUNDS, seed: int = 42) -> AccessLatencyResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(rounds=rounds, seed=seed)
-
-
-def check_shape(result: AccessLatencyResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    mec = result.row("mec-ldns-mec-cdns")
-    worst = max(result.rows, key=lambda row: row.total_ms)
-    if not worst.total_ms / mec.total_ms > 4:
-        violations.append(
-            f"access-latency reduction only "
-            f"{worst.total_ms / mec.total_ms:.1f}x — not 'drastic'")
-    # The fetch leg is MEC-local everywhere, so it must be roughly flat:
-    # the spread between deployments comes from DNS.
-    fetches = [row.fetch_ms for row in result.rows]
-    if max(fetches) - min(fetches) > 0.3 * max(fetches):
-        violations.append("fetch leg varies too much across deployments")
-    for row in result.rows:
-        if row.cache_hit_rate < 1.0:
-            violations.append(f"{row.key}: content not served from the "
-                              f"warmed MEC cache")
-    dns_gap = worst.dns_ms - mec.dns_ms
-    total_gap = worst.total_ms - mec.total_ms
-    if not 0.9 <= dns_gap / total_gap <= 1.1:
-        violations.append("the access-latency gap is not DNS-dominated")
-    return violations

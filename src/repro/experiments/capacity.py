@@ -11,7 +11,7 @@ loss beyond it.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 from repro.dnswire.message import ResourceRecord
 from repro.dnswire.name import Name
@@ -124,42 +124,30 @@ class CapacityExperiment(Experiment):
                               saturation_qps=saturation)
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        below = [point for point in result.points
+                 if point.offered_qps <= 0.75 * result.nominal_capacity_qps]
+        above = [point for point in result.points
+                 if point.offered_qps >= 1.5 * result.nominal_capacity_qps]
+        if not below or not above:
+            violations.append("sweep does not straddle the nominal capacity")
+            return violations
+        if not all(point.loss_rate < 0.01 for point in below):
+            violations.append("loss below 75% of capacity should be ~0")
+        if not all(point.loss_rate > 0.05 for point in above):
+            violations.append("well beyond capacity, loss should be material")
+        if not max(point.p95_ms for point in above) > \
+                5 * max(point.p95_ms for point in below):
+            violations.append("queueing blow-up not visible in p95")
+        for point in above:
+            if point.goodput_qps > 1.15 * result.nominal_capacity_qps:
+                violations.append(
+                    f"goodput {point.goodput_qps:.0f} qps exceeds nominal "
+                    f"capacity — the service model leaked")
+        if result.saturation_qps is None:
+            violations.append("saturation never observed in the sweep")
+        return violations
 
 
 EXPERIMENT = CapacityExperiment()
-
-
-def run(rates: Sequence[float] = DEFAULT_RATES,
-        duration_ms: float = DEFAULT_DURATION_MS,
-        seed: int = 0) -> CapacityResult:
-    """Run the load sweep; each rate gets a fresh server (no carryover)."""
-    return EXPERIMENT.run_serial(rates=tuple(rates),
-                                 duration_ms=duration_ms, seed=seed)
-
-
-def check_shape(result: CapacityResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    below = [point for point in result.points
-             if point.offered_qps <= 0.75 * result.nominal_capacity_qps]
-    above = [point for point in result.points
-             if point.offered_qps >= 1.5 * result.nominal_capacity_qps]
-    if not below or not above:
-        violations.append("sweep does not straddle the nominal capacity")
-        return violations
-    if not all(point.loss_rate < 0.01 for point in below):
-        violations.append("loss below 75% of capacity should be ~0")
-    if not all(point.loss_rate > 0.05 for point in above):
-        violations.append("well beyond capacity, loss should be material")
-    if not max(point.p95_ms for point in above) > \
-            5 * max(point.p95_ms for point in below):
-        violations.append("queueing blow-up not visible in p95")
-    for point in above:
-        if point.goodput_qps > 1.15 * result.nominal_capacity_qps:
-            violations.append(
-                f"goodput {point.goodput_qps:.0f} qps exceeds nominal "
-                f"capacity — the service model leaked")
-    if result.saturation_qps is None:
-        violations.append("saturation never observed in the sweep")
-    return violations

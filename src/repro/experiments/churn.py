@@ -371,100 +371,91 @@ class ChurnExperiment(Experiment):
                            queries=int(params["queries"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Shape claims the churn grid must satisfy; violations returned."""
+        claims: List[str] = []
+
+        def fail(text: str) -> None:
+            claims.append(text)
+
+        # -- churn-only: the deployment gradient --------------------------------
+        integrated = result.row("churn-only", "mec-ldns-mec-cdns", "resilient")
+        for deployment in DEPLOYMENT_KEYS:
+            try:
+                row = result.row("churn-only", deployment, "resilient")
+            except KeyError:
+                fail(f"missing churn-only cell for {deployment}")
+                continue
+            if row.updates < 3:
+                fail(f"churn-only {deployment} should see 3 registry "
+                     f"updates (got {row.updates})")
+            if row.handoffs != 1 or row.post_handoff_lookups == 0:
+                fail(f"churn-only {deployment} should hand over once "
+                     f"mid-session and attribute post-handoff lookups")
+        if integrated.applied < integrated.updates:
+            fail(f"integrated deployment should apply every update "
+                 f"({integrated.applied}/{integrated.updates})")
+        if integrated.prop_delay_max_ms > 1000.0:
+            fail(f"clean NOTIFY/IXFR propagation should finish within 1 s "
+                 f"(got {integrated.prop_delay_max_ms:.0f} ms)")
+        for deployment in WARMED_DEPLOYMENTS:
+            warmed = result.row("churn-only", deployment, "resilient")
+            if warmed.misloc_rate < integrated.misloc_rate + 0.3:
+                fail(f"warmed {deployment} should mislocalize far more than "
+                     f"the integrated design under a rollout "
+                     f"({warmed.misloc_rate:.2f} vs "
+                     f"{integrated.misloc_rate:.2f})")
+            if warmed.max_staleness_ms < 2000.0:
+                fail(f"warmed {deployment} staleness window should exceed "
+                     f"2 s (got {warmed.max_staleness_ms:.0f} ms)")
+
+        # -- cdns-crash: serve-stale x propagation interaction ------------------
+        crash_base = result.row("cdns-crash", FAULT_DEPLOYMENT, "baseline")
+        crash_hard = result.row("cdns-crash", FAULT_DEPLOYMENT, "resilient")
+        if crash_hard.stale_during_churn < 1:
+            fail("resilient cdns-crash should serve RFC 8767 stale answers "
+                 "inside the propagation window")
+        if crash_base.stale_during_churn != 0:
+            fail("baseline (no serve-stale) cannot serve stale answers "
+                 f"(got {crash_base.stale_during_churn})")
+
+        # -- mec-partition: bounded journal forces AXFR -------------------------
+        for mode in MODES:
+            part = result.row("mec-partition", FAULT_DEPLOYMENT, mode)
+            if part.axfr_fallbacks < 1:
+                fail(f"partition/{mode}: the depth-1 journal should force "
+                     f"an AXFR fallback on recovery")
+            if part.prop_delay_max_ms < 1000.0:
+                fail(f"partition/{mode}: propagation through the partition "
+                     f"should take > 1 s "
+                     f"(got {part.prop_delay_max_ms:.0f} ms)")
+        part_base = result.row("mec-partition", FAULT_DEPLOYMENT, "baseline")
+        if part_base.availability >= 0.95:
+            fail(f"partition should dent baseline availability "
+                 f"(got {part_base.availability:.2f})")
+
+        # -- origin-brownout: propagation-only degradation ----------------------
+        for mode in MODES:
+            brown = result.row("origin-brownout", FAULT_DEPLOYMENT, mode)
+            if brown.availability < 0.9:
+                fail(f"brownout/{mode}: a slow origin must not dent lookup "
+                     f"availability (got {brown.availability:.2f})")
+        brown_hard = result.row("origin-brownout", FAULT_DEPLOYMENT,
+                                "resilient")
+        if brown_hard.max_staleness_ms < 1000.0:
+            fail(f"brownout should stretch the staleness window past 1 s "
+                 f"(got {brown_hard.max_staleness_ms:.0f} ms)")
+        if brown_hard.max_staleness_ms <= integrated.max_staleness_ms:
+            fail("brownout staleness should exceed the clean-churn window")
+
+        # -- determinism --------------------------------------------------------
+        for key, (first, second) in result.replays.items():
+            if first != second:
+                fail(f"replay of {key} with the same seed diverged")
+        for key in (f"cdns-crash/{FAULT_DEPLOYMENT}/resilient",
+                    f"mec-partition/{FAULT_DEPLOYMENT}/baseline"):
+            if not result.timelines.get(key):
+                fail(f"timeline for {key} should not be empty")
+        return claims
 
 
 EXPERIMENT = ChurnExperiment()
-
-
-def run(queries: int = DEFAULT_QUERIES, seed: int = 42) -> ChurnResult:
-    """Run the full churn grid serially."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed)
-
-
-def check_shape(result: ChurnResult) -> List[str]:
-    """Shape claims the churn grid must satisfy; violations returned."""
-    claims: List[str] = []
-
-    def fail(text: str) -> None:
-        claims.append(text)
-
-    # -- churn-only: the deployment gradient --------------------------------
-    integrated = result.row("churn-only", "mec-ldns-mec-cdns", "resilient")
-    for deployment in DEPLOYMENT_KEYS:
-        try:
-            row = result.row("churn-only", deployment, "resilient")
-        except KeyError:
-            fail(f"missing churn-only cell for {deployment}")
-            continue
-        if row.updates < 3:
-            fail(f"churn-only {deployment} should see 3 registry "
-                 f"updates (got {row.updates})")
-        if row.handoffs != 1 or row.post_handoff_lookups == 0:
-            fail(f"churn-only {deployment} should hand over once "
-                 f"mid-session and attribute post-handoff lookups")
-    if integrated.applied < integrated.updates:
-        fail(f"integrated deployment should apply every update "
-             f"({integrated.applied}/{integrated.updates})")
-    if integrated.prop_delay_max_ms > 1000.0:
-        fail(f"clean NOTIFY/IXFR propagation should finish within 1 s "
-             f"(got {integrated.prop_delay_max_ms:.0f} ms)")
-    for deployment in WARMED_DEPLOYMENTS:
-        warmed = result.row("churn-only", deployment, "resilient")
-        if warmed.misloc_rate < integrated.misloc_rate + 0.3:
-            fail(f"warmed {deployment} should mislocalize far more than "
-                 f"the integrated design under a rollout "
-                 f"({warmed.misloc_rate:.2f} vs "
-                 f"{integrated.misloc_rate:.2f})")
-        if warmed.max_staleness_ms < 2000.0:
-            fail(f"warmed {deployment} staleness window should exceed "
-                 f"2 s (got {warmed.max_staleness_ms:.0f} ms)")
-
-    # -- cdns-crash: serve-stale x propagation interaction ------------------
-    crash_base = result.row("cdns-crash", FAULT_DEPLOYMENT, "baseline")
-    crash_hard = result.row("cdns-crash", FAULT_DEPLOYMENT, "resilient")
-    if crash_hard.stale_during_churn < 1:
-        fail("resilient cdns-crash should serve RFC 8767 stale answers "
-             "inside the propagation window")
-    if crash_base.stale_during_churn != 0:
-        fail("baseline (no serve-stale) cannot serve stale answers "
-             f"(got {crash_base.stale_during_churn})")
-
-    # -- mec-partition: bounded journal forces AXFR -------------------------
-    for mode in MODES:
-        part = result.row("mec-partition", FAULT_DEPLOYMENT, mode)
-        if part.axfr_fallbacks < 1:
-            fail(f"partition/{mode}: the depth-1 journal should force "
-                 f"an AXFR fallback on recovery")
-        if part.prop_delay_max_ms < 1000.0:
-            fail(f"partition/{mode}: propagation through the partition "
-                 f"should take > 1 s "
-                 f"(got {part.prop_delay_max_ms:.0f} ms)")
-    part_base = result.row("mec-partition", FAULT_DEPLOYMENT, "baseline")
-    if part_base.availability >= 0.95:
-        fail(f"partition should dent baseline availability "
-             f"(got {part_base.availability:.2f})")
-
-    # -- origin-brownout: propagation-only degradation ----------------------
-    for mode in MODES:
-        brown = result.row("origin-brownout", FAULT_DEPLOYMENT, mode)
-        if brown.availability < 0.9:
-            fail(f"brownout/{mode}: a slow origin must not dent lookup "
-                 f"availability (got {brown.availability:.2f})")
-    brown_hard = result.row("origin-brownout", FAULT_DEPLOYMENT,
-                            "resilient")
-    if brown_hard.max_staleness_ms < 1000.0:
-        fail(f"brownout should stretch the staleness window past 1 s "
-             f"(got {brown_hard.max_staleness_ms:.0f} ms)")
-    if brown_hard.max_staleness_ms <= integrated.max_staleness_ms:
-        fail("brownout staleness should exceed the clean-churn window")
-
-    # -- determinism --------------------------------------------------------
-    for key, (first, second) in result.replays.items():
-        if first != second:
-            fail(f"replay of {key} with the same seed diverged")
-    for key in (f"cdns-crash/{FAULT_DEPLOYMENT}/resilient",
-                f"mec-partition/{FAULT_DEPLOYMENT}/baseline"):
-        if not result.timelines.get(key):
-            fail(f"timeline for {key} should not be empty")
-    return claims

@@ -159,26 +159,17 @@ class DisaggregationExperiment(Experiment):
                                     requests=int(params["requests"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        aggregated = result.row("aggregated")
+        disaggregated = result.row("disaggregated")
+        if not aggregated.hit_ratio > disaggregated.hit_ratio + 0.03:
+            violations.append(
+                f"disaggregation did not reduce the hit ratio "
+                f"({aggregated.hit_ratio:.2f} vs {disaggregated.hit_ratio:.2f})")
+        if not disaggregated.mean_fetch_ms > aggregated.mean_fetch_ms:
+            violations.append("disaggregation did not raise mean fetch latency")
+        return violations
 
 
 EXPERIMENT = DisaggregationExperiment()
-
-
-def run(requests: int = DEFAULT_REQUESTS, seed: int = 0) -> DisaggregationResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(requests=requests, seed=seed)
-
-
-def check_shape(result: DisaggregationResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    aggregated = result.row("aggregated")
-    disaggregated = result.row("disaggregated")
-    if not aggregated.hit_ratio > disaggregated.hit_ratio + 0.03:
-        violations.append(
-            f"disaggregation did not reduce the hit ratio "
-            f"({aggregated.hit_ratio:.2f} vs {disaggregated.hit_ratio:.2f})")
-    if not disaggregated.mean_fetch_ms > aggregated.mean_fetch_ms:
-        violations.append("disaggregation did not raise mean fetch latency")
-    return violations

@@ -115,31 +115,22 @@ class EcsExperiment(Experiment):
                          queries=int(params["queries"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated ECS claims (empty = all hold).
+
+        The paper's point is that ECS is *not a win* here: ratios hover
+        around 1.0 (it "may even increase DNS resolution time") while
+        answers stay correct.  We assert every ratio lands in [0.90, 1.15]
+        and correctness holds.
+        """
+        violations: List[str] = []
+        for row in result.rows:
+            if not 0.90 <= row.ratio <= 1.15:
+                violations.append(f"{row.key}: ECS ratio {row.ratio:.2f} "
+                                  f"outside [0.90, 1.15]")
+            if not row.always_correct_cache:
+                violations.append(f"{row.key}: ECS answers not always the MEC "
+                                  f"cache")
+        return violations
 
 
 EXPERIMENT = EcsExperiment()
-
-
-def run(queries: int = 40, seed: int = 42) -> EcsResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed)
-
-
-def check_shape(result: EcsResult) -> List[str]:
-    """Violated ECS claims (empty = all hold).
-
-    The paper's point is that ECS is *not a win* here: ratios hover
-    around 1.0 (it "may even increase DNS resolution time") while
-    answers stay correct.  We assert every ratio lands in [0.90, 1.15]
-    and correctness holds.
-    """
-    violations: List[str] = []
-    for row in result.rows:
-        if not 0.90 <= row.ratio <= 1.15:
-            violations.append(f"{row.key}: ECS ratio {row.ratio:.2f} "
-                              f"outside [0.90, 1.15]")
-        if not row.always_correct_cache:
-            violations.append(f"{row.key}: ECS answers not always the MEC "
-                              f"cache")
-    return violations

@@ -15,7 +15,7 @@ region is only a few milliseconds wide.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 from repro.core.deployments import build_custom_cdns_testbed
 from repro.experiments.report import format_table
@@ -25,7 +25,6 @@ from repro.runtime import Experiment, Param
 
 ENVELOPE_MS = 20.0
 DEFAULT_DISTANCES = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 30.0)
-DEFAULT_QUERIES = 15
 
 
 class SweepPoint(NamedTuple):
@@ -89,18 +88,26 @@ class EnvelopeSweepExperiment(Experiment):
             crossover_one_way_ms=_crossover(points))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        means = [point.mean_latency_ms for point in result.points]
+        if not all(earlier <= later + 1.0  # allow ~1ms sampling noise
+                   for earlier, later in zip(means, means[1:])):
+            violations.append("latency is not monotone in C-DNS distance")
+        if result.crossover_one_way_ms is None:
+            violations.append("no 20 ms crossover found in the sweep range")
+        elif not 1.0 <= result.crossover_one_way_ms <= 8.0:
+            violations.append(
+                f"crossover at {result.crossover_one_way_ms:.1f} ms one-way is "
+                f"outside the LAN-scale band the paper implies")
+        if not result.points[0].within_envelope:
+            violations.append("even a collocated C-DNS misses the envelope")
+        if result.points[-1].within_envelope:
+            violations.append("a WAN-distance C-DNS should miss the envelope")
+        return violations
 
 
 EXPERIMENT = EnvelopeSweepExperiment()
-
-
-def run(distances: Sequence[float] = DEFAULT_DISTANCES,
-        queries: int = DEFAULT_QUERIES,
-        seed: int = 42) -> EnvelopeSweepResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(distances=tuple(distances),
-                                 queries=queries, seed=seed)
 
 
 def _crossover(points: List[SweepPoint]) -> Optional[float]:
@@ -114,23 +121,3 @@ def _crossover(points: List[SweepPoint]) -> Optional[float]:
                     + fraction * (current.cdns_one_way_ms
                                   - previous.cdns_one_way_ms))
     return None
-
-
-def check_shape(result: EnvelopeSweepResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    means = [point.mean_latency_ms for point in result.points]
-    if not all(earlier <= later + 1.0  # allow ~1ms sampling noise
-               for earlier, later in zip(means, means[1:])):
-        violations.append("latency is not monotone in C-DNS distance")
-    if result.crossover_one_way_ms is None:
-        violations.append("no 20 ms crossover found in the sweep range")
-    elif not 1.0 <= result.crossover_one_way_ms <= 8.0:
-        violations.append(
-            f"crossover at {result.crossover_one_way_ms:.1f} ms one-way is "
-            f"outside the LAN-scale band the paper implies")
-    if not result.points[0].within_envelope:
-        violations.append("even a collocated C-DNS misses the envelope")
-    if result.points[-1].within_envelope:
-        violations.append("a WAN-distance C-DNS should miss the envelope")
-    return violations

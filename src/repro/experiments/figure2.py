@@ -22,9 +22,6 @@ from repro.experiments.report import format_table
 from repro.measure.stats import SummaryStats, summarize
 from repro.runtime import Experiment, Param, derive_seed
 
-#: Matches the paper's "at least 12 tests" with margin.
-DEFAULT_TRIALS = 25
-
 
 class Figure2Row(NamedTuple):
     site: str
@@ -88,6 +85,7 @@ class Figure2Experiment(Experiment):
 
     name = "figure2"
     title = "Figure 2: DNS lookup latency per CDN domain and access network"
+    # 25 tests per bar: the paper's "at least 12 tests", with margin.
     params = (Param("trials", int, 25, "tests per bar"),
               Param("seed", int, 42, "base RNG seed"))
 
@@ -119,38 +117,29 @@ class Figure2Experiment(Experiment):
                              trials=int(params["trials"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Return a list of violated shape claims (empty = all hold)."""
+        violations: List[str] = []
+        bars = result.bars()
+        stdevs = {(row.site, row.connectivity): row.stats.stdev
+                  for row in result.rows}
+        for deployment in TABLE1_SITES:
+            site = deployment.site
+            wired = bars[(site, "wired-campus")]
+            wifi = bars[(site, "wifi-home")]
+            cellular = bars[(site, "cellular-mobile")]
+            if not cellular > wifi:
+                violations.append(f"{site}: cellular ({cellular:.1f}) not above "
+                                  f"wifi ({wifi:.1f})")
+            if not cellular > 2 * wired:
+                violations.append(f"{site}: cellular ({cellular:.1f}) not well "
+                                  f"above wired ({wired:.1f})")
+            if not wifi > wired:
+                violations.append(f"{site}: wifi ({wifi:.1f}) not above wired "
+                                  f"({wired:.1f})")
+            if not stdevs[(site, "cellular-mobile")] > \
+                    stdevs[(site, "wired-campus")]:
+                violations.append(f"{site}: cellular variability not above wired")
+        return violations
 
 
 EXPERIMENT = Figure2Experiment()
-
-
-def run(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Figure2Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(trials=trials, seed=seed)
-
-
-def check_shape(result: Figure2Result) -> List[str]:
-    """Return a list of violated shape claims (empty = all hold)."""
-    violations: List[str] = []
-    bars = result.bars()
-    stdevs = {(row.site, row.connectivity): row.stats.stdev
-              for row in result.rows}
-    for deployment in TABLE1_SITES:
-        site = deployment.site
-        wired = bars[(site, "wired-campus")]
-        wifi = bars[(site, "wifi-home")]
-        cellular = bars[(site, "cellular-mobile")]
-        if not cellular > wifi:
-            violations.append(f"{site}: cellular ({cellular:.1f}) not above "
-                              f"wifi ({wifi:.1f})")
-        if not cellular > 2 * wired:
-            violations.append(f"{site}: cellular ({cellular:.1f}) not well "
-                              f"above wired ({wired:.1f})")
-        if not wifi > wired:
-            violations.append(f"{site}: wifi ({wifi:.1f}) not above wired "
-                              f"({wired:.1f})")
-        if not stdevs[(site, "cellular-mobile")] > \
-                stdevs[(site, "wired-campus")]:
-            violations.append(f"{site}: cellular variability not above wired")
-    return violations

@@ -21,8 +21,6 @@ from repro.experiments.public_internet import PublicInternetScenario
 from repro.experiments.report import format_bar, format_table
 from repro.runtime import Experiment, Param, derive_seed
 
-DEFAULT_TRIALS = 40
-
 
 class Figure3Row(NamedTuple):
     site: str
@@ -120,46 +118,37 @@ class Figure3Experiment(Experiment):
                              trials=int(params["trials"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated Figure 3 claims (empty list = all hold)."""
+        violations: List[str] = []
+        for deployment in TABLE1_SITES:
+            site = deployment.site
+            legal_labels = {pool.label for pool in deployment.pools}
+            distributions = {}
+            for connectivity in CONNECTIVITIES:
+                distribution = result.distribution_for(site, connectivity)
+                distributions[connectivity] = distribution
+                illegal = set(distribution) - legal_labels
+                if illegal:
+                    violations.append(f"{site}/{connectivity}: answers outside "
+                                      f"the deployment pools: {illegal}")
+            # Distributions must differ across connectivities: compare the
+            # dominant pool share, which the weights separate by >= 15 points.
+            wired = distributions["wired-campus"]
+            cellular = distributions["cellular-mobile"]
+            if wired and cellular:
+                top_wired = max(wired, key=wired.get)
+                share_wired = wired[top_wired]
+                share_cell = cellular.get(top_wired, 0.0)
+                if abs(share_wired - share_cell) < 0.10:
+                    violations.append(
+                        f"{site}: wired and cellular distributions look the "
+                        f"same (top pool {top_wired}: {share_wired:.2f} vs "
+                        f"{share_cell:.2f})")
+        for row in result.rows:
+            if row.unmatched:
+                violations.append(f"{row.site}/{row.connectivity}: "
+                                  f"{row.unmatched} unmatched answers")
+        return violations
 
 
 EXPERIMENT = Figure3Experiment()
-
-
-def run(trials: int = DEFAULT_TRIALS, seed: int = 0) -> Figure3Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(trials=trials, seed=seed)
-
-
-def check_shape(result: Figure3Result) -> List[str]:
-    """Violated Figure 3 claims (empty list = all hold)."""
-    violations: List[str] = []
-    for deployment in TABLE1_SITES:
-        site = deployment.site
-        legal_labels = {pool.label for pool in deployment.pools}
-        distributions = {}
-        for connectivity in CONNECTIVITIES:
-            distribution = result.distribution_for(site, connectivity)
-            distributions[connectivity] = distribution
-            illegal = set(distribution) - legal_labels
-            if illegal:
-                violations.append(f"{site}/{connectivity}: answers outside "
-                                  f"the deployment pools: {illegal}")
-        # Distributions must differ across connectivities: compare the
-        # dominant pool share, which the weights separate by >= 15 points.
-        wired = distributions["wired-campus"]
-        cellular = distributions["cellular-mobile"]
-        if wired and cellular:
-            top_wired = max(wired, key=wired.get)
-            share_wired = wired[top_wired]
-            share_cell = cellular.get(top_wired, 0.0)
-            if abs(share_wired - share_cell) < 0.10:
-                violations.append(
-                    f"{site}: wired and cellular distributions look the "
-                    f"same (top pool {top_wired}: {share_wired:.2f} vs "
-                    f"{share_cell:.2f})")
-    for row in result.rows:
-        if row.unmatched:
-            violations.append(f"{row.site}/{row.connectivity}: "
-                              f"{row.unmatched} unmatched answers")
-    return violations

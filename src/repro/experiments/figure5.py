@@ -22,8 +22,6 @@ from repro.measure.runner import measure_deployment_queries
 from repro.measure.stats import SummaryStats, summarize
 from repro.runtime import Experiment, Param
 
-DEFAULT_QUERIES = 40
-
 #: Mean lookup latency per bar as published (ms).
 PAPER_MEANS: Dict[str, float] = {
     "mec-ldns-mec-cdns": 14.4,
@@ -147,43 +145,33 @@ class Figure5Experiment(Experiment):
         return result.render_chart() + "\n\n" + result.render()
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated Figure 5 claims (empty = all hold)."""
+        violations: List[str] = []
+        means = result.means()
+        order = ["mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns"]
+        for earlier, later in zip(order, order[1:]):
+            if not means[earlier] < means[later]:
+                violations.append(f"{earlier} not faster than {later}")
+        for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
+            if means[key] >= 20:
+                violations.append(f"{key} misses the 20ms envelope "
+                                  f"({means[key]:.1f}ms)")
+        for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
+                    "cloudflare-dns"):
+            if means[key] <= 20:
+                violations.append(f"{key} unexpectedly under 20ms")
+        gap = means["mec-ldns-lan-cdns"] - means["mec-ldns-mec-cdns"]
+        if not 3 <= gap <= 8:
+            violations.append(f"MEC vs LAN C-DNS gap {gap:.1f}ms not ~5ms")
+        speedup = max(means[k] for k in ("lan-ldns", "google-dns",
+                                         "cloudflare-dns")) / \
+            means["mec-ldns-mec-cdns"]
+        if speedup < 7.5:
+            violations.append(f"best-case speedup {speedup:.1f}x below ~9x")
+        mec_row = result.row("mec-ldns-mec-cdns")
+        if mec_row.wireless.mean / mec_row.latency.mean < 0.6:
+            violations.append("wireless leg does not dominate the MEC bar")
+        return violations
 
 
 EXPERIMENT = Figure5Experiment()
-
-
-def run(queries: int = DEFAULT_QUERIES, seed: int = 42,
-        ecs: bool = False) -> Figure5Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(queries=queries, seed=seed, ecs=ecs)
-
-
-def check_shape(result: Figure5Result) -> List[str]:
-    """Violated Figure 5 claims (empty = all hold)."""
-    violations: List[str] = []
-    means = result.means()
-    order = ["mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns"]
-    for earlier, later in zip(order, order[1:]):
-        if not means[earlier] < means[later]:
-            violations.append(f"{earlier} not faster than {later}")
-    for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
-        if means[key] >= 20:
-            violations.append(f"{key} misses the 20ms envelope "
-                              f"({means[key]:.1f}ms)")
-    for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
-                "cloudflare-dns"):
-        if means[key] <= 20:
-            violations.append(f"{key} unexpectedly under 20ms")
-    gap = means["mec-ldns-lan-cdns"] - means["mec-ldns-mec-cdns"]
-    if not 3 <= gap <= 8:
-        violations.append(f"MEC vs LAN C-DNS gap {gap:.1f}ms not ~5ms")
-    speedup = max(means[k] for k in ("lan-ldns", "google-dns",
-                                     "cloudflare-dns")) / \
-        means["mec-ldns-mec-cdns"]
-    if speedup < 7.5:
-        violations.append(f"best-case speedup {speedup:.1f}x below ~9x")
-    mec_row = result.row("mec-ldns-mec-cdns")
-    if mec_row.wireless.mean / mec_row.latency.mean < 0.6:
-        violations.append("wireless leg does not dominate the MEC bar")
-    return violations

@@ -50,7 +50,6 @@ VISIBLE_ADDRESS = {
     "cellular-mobile": "198.51.100.9",
 }
 
-DEFAULT_TRIALS = 30
 #: GeoIP samples per connectivity for the localization-error estimate.
 GEOIP_SAMPLES = 200
 
@@ -196,32 +195,23 @@ class MislocalizationExperiment(Experiment):
                                      trials=int(params["trials"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        wired = result.row("wired-campus")
+        wifi = result.row("wifi-home")
+        cellular = result.row("cellular-mobile")
+        if not cellular.geoip_error_km > 5 * wired.geoip_error_km:
+            violations.append(
+                f"cellular GeoIP error ({cellular.geoip_error_km:.0f} km) not "
+                f"well above wired ({wired.geoip_error_km:.0f} km)")
+        if not wired.geoip_error_km < wifi.geoip_error_km:
+            violations.append("wired GeoIP error not below wifi")
+        if not cellular.mean_cache_distance_km > wired.mean_cache_distance_km:
+            violations.append(
+                f"cellular cache distance "
+                f"({cellular.mean_cache_distance_km:.0f} km) not above wired "
+                f"({wired.mean_cache_distance_km:.0f} km)")
+        return violations
 
 
 EXPERIMENT = MislocalizationExperiment()
-
-
-def run(trials: int = DEFAULT_TRIALS, seed: int = 0) -> MislocalizationResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(trials=trials, seed=seed)
-
-
-def check_shape(result: MislocalizationResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    wired = result.row("wired-campus")
-    wifi = result.row("wifi-home")
-    cellular = result.row("cellular-mobile")
-    if not cellular.geoip_error_km > 5 * wired.geoip_error_km:
-        violations.append(
-            f"cellular GeoIP error ({cellular.geoip_error_km:.0f} km) not "
-            f"well above wired ({wired.geoip_error_km:.0f} km)")
-    if not wired.geoip_error_km < wifi.geoip_error_km:
-        violations.append("wired GeoIP error not below wifi")
-    if not cellular.mean_cache_distance_km > wired.mean_cache_distance_km:
-        violations.append(
-            f"cellular cache distance "
-            f"({cellular.mean_cache_distance_km:.0f} km) not above wired "
-            f"({wired.mean_cache_distance_km:.0f} km)")
-    return violations

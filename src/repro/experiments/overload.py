@@ -207,32 +207,23 @@ class OverloadExperiment(Experiment):
                               attack_qps=float(params["attack_qps"]))
 
     def check_shape(self, result):
-        return check_shape(result)
+        """Violated claims (empty = all hold)."""
+        violations: List[str] = []
+        unmitigated = result.row("none")
+        mitigated = result.row("switch-to-provider")
+        if not unmitigated.attack_success_rate < 0.8:
+            violations.append("the flood did not actually degrade service")
+        if not mitigated.attack_success_rate > 0.95:
+            violations.append(
+                f"mitigation did not preserve availability "
+                f"({mitigated.attack_success_rate:.2f})")
+        if not mitigated.mitigation_activations >= 1:
+            violations.append("mitigation never activated")
+        if not mitigated.attack_p95_ms < LEGIT_TIMEOUT_MS:
+            violations.append("mitigated latency not bounded")
+        if not mitigated.attack_p95_ms > mitigated.baseline_p95_ms:
+            violations.append("mitigation should cost latency (provider is far)")
+        return violations
 
 
 EXPERIMENT = OverloadExperiment()
-
-
-def run(attack_qps: float = 1500.0, seed: int = 0) -> OverloadResult:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial(attack_qps=attack_qps, seed=seed)
-
-
-def check_shape(result: OverloadResult) -> List[str]:
-    """Violated claims (empty = all hold)."""
-    violations: List[str] = []
-    unmitigated = result.row("none")
-    mitigated = result.row("switch-to-provider")
-    if not unmitigated.attack_success_rate < 0.8:
-        violations.append("the flood did not actually degrade service")
-    if not mitigated.attack_success_rate > 0.95:
-        violations.append(
-            f"mitigation did not preserve availability "
-            f"({mitigated.attack_success_rate:.2f})")
-    if not mitigated.mitigation_activations >= 1:
-        violations.append("mitigation never activated")
-    if not mitigated.attack_p95_ms < LEGIT_TIMEOUT_MS:
-        violations.append("mitigated latency not bounded")
-    if not mitigated.attack_p95_ms > mitigated.baseline_p95_ms:
-        violations.append("mitigation should cost latency (provider is far)")
-    return violations

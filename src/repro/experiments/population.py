@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
+from repro.cdn.allocation import ALLOCATION_POLICIES
 from repro.core.deployments import DEPLOYMENT_KEYS, DEPLOYMENT_LABELS
 from repro.experiments.report import format_table
 from repro.measure.histogram import HistogramSummary
@@ -27,12 +28,14 @@ from repro.runtime import Experiment, Param
 from repro.runtime.spec import TrialSpec
 from repro.workload.arrivals import SECONDS_PER_HOUR, DiurnalProfile
 from repro.workload.deployment import calibrate, is_localized
-from repro.workload.engine import (ALLOCATION_POLICIES, DistrictConfig,
-                                   DistrictStats, district_seed, merge_stats,
-                                   run_district)
+from repro.workload.engine import (DistrictConfig, DistrictStats,
+                                   district_seed, merge_stats, run_district)
 
 #: Default total queries targeted per deployment (all districts).
 DEFAULT_TARGET_QUERIES = 20_000
+#: Minimum merged queries per row before the statistical shape claims
+#: are asserted; tiny smoke runs still check the structural ones.
+SHAPE_MIN_QUERIES = 2_000
 
 #: Fixed per-run shape of the simulated city window.
 SIMULATED_HOURS = 1.0
@@ -267,99 +270,83 @@ class PopulationExperiment(Experiment):
             catalog=int(params["catalog"]))
 
     def check_shape(self, result: object) -> List[str]:
+        """Violated population-scale claims (empty = all hold)."""
         assert isinstance(result, PopulationResult)
-        return check_shape(result)
+        violations: List[str] = []
+        by_key = {row.key: row for row in result.rows}
+
+        for row in result.rows:
+            if not row.queries:
+                violations.append(f"{row.key} served no queries")
+                continue
+            summary = row.total
+            if not summary.p50 <= summary.p99 <= summary.p999:
+                violations.append(f"{row.key} quantiles not monotone")
+            if is_localized(row.key):
+                if row.localization < 0.99:
+                    violations.append(
+                        f"{row.key} localization {row.localization:.3f} "
+                        f"below 0.99 despite MEC collocation")
+            elif result.sites > 1 and row.queries >= SHAPE_MIN_QUERIES:
+                # A client-blind resolver pins the city to one anchor site:
+                # localization collapses toward 1/sites.
+                if row.localization > 0.5:
+                    violations.append(
+                        f"{row.key} localization {row.localization:.3f} "
+                        f"too high for a client-blind resolver")
+
+        def dns_p50(key: str) -> Optional[float]:
+            row = by_key.get(key)
+            return row.dns.p50 if row is not None and row.queries else None
+
+        order = ["mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns"]
+        present = [key for key in order if dns_p50(key) is not None]
+        for earlier, later in zip(present, present[1:]):
+            early_p50, late_p50 = dns_p50(earlier), dns_p50(later)
+            assert early_p50 is not None and late_p50 is not None
+            if not early_p50 < late_p50:
+                violations.append(f"{earlier} dns p50 not below {later}")
+        for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
+            p50 = dns_p50(key)
+            if p50 is not None and p50 >= 20:
+                violations.append(
+                    f"{key} dns p50 {p50:.1f}ms misses the 20ms envelope")
+        for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
+                    "cloudflare-dns"):
+            p50 = dns_p50(key)
+            if p50 is not None and p50 <= 20:
+                violations.append(f"{key} dns p50 unexpectedly under 20ms")
+
+        # Load balance is where client-blind resolution falls apart at
+        # city scale: the anchor cache absorbs everything, so imbalance
+        # (max/mean over caches) approaches the cache count, while any
+        # consistent-hash policy keeps the localized rows near flat.
+        localized_rows = [row for row in result.rows
+                          if is_localized(row.key)
+                          and row.queries >= SHAPE_MIN_QUERIES]
+        blind_rows = [row for row in result.rows
+                      if not is_localized(row.key)
+                      and row.queries >= SHAPE_MIN_QUERIES]
+        for row in localized_rows:
+            if row.load_imbalance > 3.0:
+                violations.append(
+                    f"{row.key} cache load imbalance {row.load_imbalance:.2f} "
+                    f"exceeds 3.0 under consistent hashing")
+        if localized_rows and blind_rows:
+            worst_localized = max(row.load_imbalance for row in localized_rows)
+            best_blind = min(row.load_imbalance for row in blind_rows)
+            if best_blind <= 2.0 * worst_localized:
+                violations.append(
+                    f"anchor-pinned imbalance {best_blind:.2f} not clearly "
+                    f"worse than localized {worst_localized:.2f}")
+        for row in localized_rows + blind_rows:
+            # Caches must be doing real work: some hits (Zipf head repeats)
+            # and some misses (cold starts at minimum).
+            if not 0.0 < row.hit_rate < 1.0:
+                violations.append(
+                    f"{row.key} hit rate {row.hit_rate:.3f} degenerate")
+
+        return violations
 
 
 EXPERIMENT = PopulationExperiment()
-
-
-def run(**overrides: object) -> PopulationResult:
-    """Run the experiment and return its structured result."""
-    result = EXPERIMENT.run_serial(**overrides)
-    assert isinstance(result, PopulationResult)
-    return result
-
-
-#: Minimum merged queries per row before the statistical claims below
-#: are asserted; tiny smoke runs still check the structural ones.
-SHAPE_MIN_QUERIES = 2_000
-
-
-def check_shape(result: PopulationResult) -> List[str]:
-    """Violated population-scale claims (empty = all hold)."""
-    violations: List[str] = []
-    by_key = {row.key: row for row in result.rows}
-
-    for row in result.rows:
-        if not row.queries:
-            violations.append(f"{row.key} served no queries")
-            continue
-        summary = row.total
-        if not summary.p50 <= summary.p99 <= summary.p999:
-            violations.append(f"{row.key} quantiles not monotone")
-        if is_localized(row.key):
-            if row.localization < 0.99:
-                violations.append(
-                    f"{row.key} localization {row.localization:.3f} "
-                    f"below 0.99 despite MEC collocation")
-        elif result.sites > 1 and row.queries >= SHAPE_MIN_QUERIES:
-            # A client-blind resolver pins the city to one anchor site:
-            # localization collapses toward 1/sites.
-            if row.localization > 0.5:
-                violations.append(
-                    f"{row.key} localization {row.localization:.3f} "
-                    f"too high for a client-blind resolver")
-
-    def dns_p50(key: str) -> Optional[float]:
-        row = by_key.get(key)
-        return row.dns.p50 if row is not None and row.queries else None
-
-    order = ["mec-ldns-mec-cdns", "mec-ldns-lan-cdns", "mec-ldns-wan-cdns"]
-    present = [key for key in order if dns_p50(key) is not None]
-    for earlier, later in zip(present, present[1:]):
-        early_p50, late_p50 = dns_p50(earlier), dns_p50(later)
-        assert early_p50 is not None and late_p50 is not None
-        if not early_p50 < late_p50:
-            violations.append(f"{earlier} dns p50 not below {later}")
-    for key in ("mec-ldns-mec-cdns", "mec-ldns-lan-cdns"):
-        p50 = dns_p50(key)
-        if p50 is not None and p50 >= 20:
-            violations.append(
-                f"{key} dns p50 {p50:.1f}ms misses the 20ms envelope")
-    for key in ("mec-ldns-wan-cdns", "lan-ldns", "google-dns",
-                "cloudflare-dns"):
-        p50 = dns_p50(key)
-        if p50 is not None and p50 <= 20:
-            violations.append(f"{key} dns p50 unexpectedly under 20ms")
-
-    # Load balance is where client-blind resolution falls apart at
-    # city scale: the anchor cache absorbs everything, so imbalance
-    # (max/mean over caches) approaches the cache count, while any
-    # consistent-hash policy keeps the localized rows near flat.
-    localized_rows = [row for row in result.rows
-                      if is_localized(row.key)
-                      and row.queries >= SHAPE_MIN_QUERIES]
-    blind_rows = [row for row in result.rows
-                  if not is_localized(row.key)
-                  and row.queries >= SHAPE_MIN_QUERIES]
-    for row in localized_rows:
-        if row.load_imbalance > 3.0:
-            violations.append(
-                f"{row.key} cache load imbalance {row.load_imbalance:.2f} "
-                f"exceeds 3.0 under consistent hashing")
-    if localized_rows and blind_rows:
-        worst_localized = max(row.load_imbalance for row in localized_rows)
-        best_blind = min(row.load_imbalance for row in blind_rows)
-        if best_blind <= 2.0 * worst_localized:
-            violations.append(
-                f"anchor-pinned imbalance {best_blind:.2f} not clearly "
-                f"worse than localized {worst_localized:.2f}")
-    for row in localized_rows + blind_rows:
-        # Caches must be doing real work: some hits (Zipf head repeats)
-        # and some misses (cold starts at minimum).
-        if not 0.0 < row.hit_rate < 1.0:
-            violations.append(
-                f"{row.key} hit rate {row.hit_rate:.3f} degenerate")
-
-    return violations

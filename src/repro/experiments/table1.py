@@ -57,8 +57,3 @@ class Table1Experiment(Experiment):
 
 
 EXPERIMENT = Table1Experiment()
-
-
-def run() -> Table1Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial()

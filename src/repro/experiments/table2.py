@@ -103,8 +103,3 @@ class Table2Experiment(Experiment):
 
 
 EXPERIMENT = Table2Experiment()
-
-
-def run() -> Table2Result:
-    """Run the experiment and return its structured result."""
-    return EXPERIMENT.run_serial()

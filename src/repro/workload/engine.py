@@ -47,7 +47,8 @@ from bisect import bisect_right
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro import telemetry as _telemetry
-from repro.cdn.allocation import ConsistentAllocator, HashRing
+from repro.cdn.allocation import (ALLOCATION_POLICIES, ConsistentAllocator,
+                                  HashRing)
 from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import LatencyHistogram
 from repro.runtime.spec import derive_seed
@@ -61,9 +62,6 @@ from repro.workload.deployment import (INTER_SITE_LEG, INTRA_SITE_LEG,
 from repro.workload.mobility import HANDOVER_INTERRUPTION_MS, MobilityModel
 from repro.workload.population import Population, UserProfile
 from repro.workload.sessions import SessionModel
-
-#: Recognized traffic-allocation policies (mirrors the router's).
-ALLOCATION_POLICIES = ("content", "client", "client-bounded")
 
 
 class DistrictConfig(NamedTuple):

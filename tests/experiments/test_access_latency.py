@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.experiments.access_latency import check_shape, run
+from repro.experiments.access_latency import EXPERIMENT
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(rounds=6, seed=42)
+    return EXPERIMENT.run_serial(rounds=6, seed=42)
 
 
 class TestAccessLatency:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_all_deployments_measured(self, result):
         assert len(result.rows) == 6

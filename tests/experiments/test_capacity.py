@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone
 from repro.dnswire.rdata import A, NS, SOA
-from repro.experiments.capacity import check_shape, run
+from repro.experiments.capacity import EXPERIMENT
 from repro.measure.loadgen import LoadGenerator, run_load
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator
 from repro.resolver import AuthoritativeServer
@@ -76,13 +76,13 @@ class TestLoadGenerator:
 
 @pytest.fixture(scope="module")
 def curve():
-    return run(rates=(400.0, 1200.0, 2200.0, 3500.0), duration_ms=800,
-               seed=0)
+    return EXPERIMENT.run_serial(rates=(400.0, 1200.0, 2200.0, 3500.0),
+                                 duration_ms=800, seed=0)
 
 
 class TestCapacityCurve:
     def test_shape_claims_hold(self, curve):
-        assert check_shape(curve) == []
+        assert EXPERIMENT.check_shape(curve) == []
 
     def test_goodput_plateaus_at_capacity(self, curve):
         beyond = [point for point in curve.points

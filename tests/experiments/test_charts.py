@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.experiments import run_figure2, run_figure5
+from repro.experiments.figure2 import EXPERIMENT as FIGURE2
+from repro.experiments.figure5 import EXPERIMENT as FIGURE5
 
 
 @pytest.fixture(scope="module")
 def figure5():
-    return run_figure5(queries=8, seed=42)
+    return FIGURE5.run_serial(queries=8, seed=42)
 
 
 @pytest.fixture(scope="module")
 def figure2():
-    return run_figure2(trials=12, seed=5)
+    return FIGURE2.run_serial(trials=12, seed=5)
 
 
 class TestFigure5Chart:

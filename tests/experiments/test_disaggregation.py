@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.experiments.disaggregation import check_shape, run
+from repro.experiments.disaggregation import EXPERIMENT
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(requests=800, seed=0)
+    return EXPERIMENT.run_serial(requests=800, seed=0)
 
 
 class TestDisaggregation:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_two_routings_compared(self, result):
         assert {row.routing for row in result.rows} == \

@@ -3,22 +3,19 @@
 import pytest
 
 from repro.core.deployments import build_custom_cdns_testbed
-from repro.experiments.envelope_sweep import (
-    ENVELOPE_MS,
-    check_shape,
-    run,
-)
+from repro.experiments.envelope_sweep import ENVELOPE_MS, EXPERIMENT
 from repro.measure import measure_deployment_queries
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(distances=(0.5, 2.0, 4.0, 8.0, 25.0), queries=8, seed=42)
+    return EXPERIMENT.run_serial(distances=(0.5, 2.0, 4.0, 8.0, 25.0),
+                                 queries=8, seed=42)
 
 
 class TestEnvelopeSweep:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_latency_monotone_in_distance(self, result):
         means = [point.mean_latency_ms for point in result.points]
@@ -39,7 +36,8 @@ class TestEnvelopeSweep:
         assert "C-DNS one-way ms" in text
 
     def test_no_crossover_when_all_within(self):
-        narrow = run(distances=(0.5, 1.0), queries=6, seed=42)
+        narrow = EXPERIMENT.run_serial(distances=(0.5, 1.0), queries=6,
+                                       seed=42)
         assert narrow.crossover_one_way_ms is None
 
 

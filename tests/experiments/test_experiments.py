@@ -7,18 +7,7 @@ and the rendered output.
 
 import pytest
 
-from repro.experiments import (
-    run_ecs,
-    run_figure2,
-    run_figure3,
-    run_figure5,
-    run_table1,
-    run_table2,
-)
-from repro.experiments import ecs as ecs_mod
-from repro.experiments import figure2 as f2_mod
-from repro.experiments import figure3 as f3_mod
-from repro.experiments import figure5 as f5_mod
+from repro.experiments import ecs, figure2, figure3, figure5, table1, table2
 from repro.experiments.report import format_bar, format_table
 
 
@@ -45,14 +34,15 @@ class TestReport:
 
 class TestTable1:
     def test_five_rows_with_paper_domains(self):
-        result = run_table1()
+        result = table1.EXPERIMENT.run_serial()
         assert len(result.rows) == 5
         domains = {row.domain for row in result.rows}
         assert "a0.muscache.com" in domains
         assert "q-cf.bstatic.com" in domains
 
     def test_rows_are_the_papers_sites_and_domains(self):
-        rows = {row.site: row.domain for row in run_table1().rows}
+        rows = {row.site: row.domain
+                for row in table1.EXPERIMENT.run_serial().rows}
         assert rows == {
             "Airbnb": "a0.muscache.com",
             "Booking.com": "q-cf.bstatic.com",
@@ -62,39 +52,39 @@ class TestTable1:
         }
 
     def test_render(self):
-        text = run_table1().render()
+        text = table1.EXPERIMENT.run_serial().render()
         assert "Airbnb" in text
         assert "cdn0.agoda.net" in text
 
 
 class TestTable2:
     def test_seven_roles(self):
-        result = run_table2()
+        result = table2.EXPERIMENT.run_serial()
         assert len(result.rows) == 7
         entities = {row.entity for row in result.rows}
         assert "MEC Provider" in entities
         assert "CDN Brokers" in entities
 
     def test_entities_are_the_papers(self):
-        assert {row.entity for row in run_table2().rows} == {
+        assert {row.entity for row in table2.EXPERIMENT.run_serial().rows} == {
             "Cellular Providers", "CDN Providers", "DNS Provider",
             "Web Provider", "Cloud Provider", "CDN Brokers", "MEC Provider",
         }
 
     def test_multi_role_entities_consistent(self):
-        result = run_table2()
+        result = table2.EXPERIMENT.run_serial()
         assert "Verizon" in result.multi_role
         assert "Cellular Providers" in result.multi_role["Verizon"]
 
     def test_render_includes_module_mapping(self):
-        text = run_table2().render()
+        text = table2.EXPERIMENT.run_serial().render()
         assert "repro.cdn.broker" in text
         assert "Verizon" in text
 
 
 @pytest.fixture(scope="module")
 def figure2_result():
-    return run_figure2(trials=14, seed=5)
+    return figure2.EXPERIMENT.run_serial(trials=14, seed=5)
 
 
 class TestFigure2:
@@ -102,7 +92,7 @@ class TestFigure2:
         assert len(figure2_result.rows) == 15  # 5 domains x 3 networks
 
     def test_shape_claims_hold(self, figure2_result):
-        assert f2_mod.check_shape(figure2_result) == []
+        assert figure2.EXPERIMENT.check_shape(figure2_result) == []
 
     def test_minimum_twelve_tests(self, figure2_result):
         assert all(row.stats.count >= 12 for row in figure2_result.rows)
@@ -119,12 +109,12 @@ class TestFigure2:
 
 @pytest.fixture(scope="module")
 def figure3_result():
-    return run_figure3(trials=30, seed=5)
+    return figure3.EXPERIMENT.run_serial(trials=30, seed=5)
 
 
 class TestFigure3:
     def test_shape_claims_hold(self, figure3_result):
-        assert f3_mod.check_shape(figure3_result) == []
+        assert figure3.EXPERIMENT.check_shape(figure3_result) == []
 
     def test_answers_only_from_deployment_pools(self, figure3_result):
         assert all(row.unmatched == 0 for row in figure3_result.rows)
@@ -143,16 +133,16 @@ class TestFigure3:
 
 @pytest.fixture(scope="module")
 def figure5_result():
-    return run_figure5(queries=20, seed=42)
+    return figure5.EXPERIMENT.run_serial(queries=20, seed=42)
 
 
 class TestFigure5:
     def test_six_bars_in_paper_order(self, figure5_result):
         assert [row.key for row in figure5_result.rows] == list(
-            f5_mod.DEPLOYMENT_KEYS)
+            figure5.DEPLOYMENT_KEYS)
 
     def test_shape_claims_hold(self, figure5_result):
-        assert f5_mod.check_shape(figure5_result) == []
+        assert figure5.EXPERIMENT.check_shape(figure5_result) == []
 
     def test_means_near_paper_values(self, figure5_result):
         # Calibration check: within 20% of every published mean.
@@ -172,14 +162,14 @@ class TestFigure5:
 
 class TestEcs:
     def test_ratios_and_correctness(self):
-        result = run_ecs(queries=15, seed=42)
-        assert ecs_mod.check_shape(result) == []
+        result = ecs.EXPERIMENT.run_serial(queries=15, seed=42)
+        assert ecs.EXPERIMENT.check_shape(result) == []
         assert len(result.rows) == 3
         for row in result.rows:
             assert row.always_correct_cache
 
     def test_render(self):
-        result = run_ecs(queries=10, seed=1)
+        result = ecs.EXPERIMENT.run_serial(queries=10, seed=1)
         text = result.render()
         assert "ratio" in text
         assert "correct cache" in text

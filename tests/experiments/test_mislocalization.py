@@ -5,20 +5,19 @@ import pytest
 from repro.cdn.providers import CONNECTIVITIES
 from repro.experiments.mislocalization import (
     CLIENT_LOCATION,
+    EXPERIMENT,
     GEOIP_ENTRIES,
-    check_shape,
-    run,
 )
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(trials=15, seed=4)
+    return EXPERIMENT.run_serial(trials=15, seed=4)
 
 
 class TestMislocalization:
     def test_shape_claims_hold(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_rows_cover_connectivities(self, result):
         assert [row.connectivity for row in result.rows] == \

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnswire import Name, RecordType, ResourceRecord, Zone, make_query
 from repro.dnswire.rdata import A, NS, SOA
-from repro.experiments.overload import check_shape, run
+from repro.experiments.overload import EXPERIMENT
 from repro.netsim import Constant, Endpoint, Network, RandomStreams, Simulator, UdpSocket
 from repro.resolver import AuthoritativeServer, StubResolver
 
@@ -89,12 +89,12 @@ class TestWorkerModel:
 
 @pytest.fixture(scope="module")
 def overload_result():
-    return run(attack_qps=1500, seed=0)
+    return EXPERIMENT.run_serial(attack_qps=1500, seed=0)
 
 
 class TestOverloadExperiment:
     def test_shape_claims_hold(self, overload_result):
-        assert check_shape(overload_result) == []
+        assert EXPERIMENT.check_shape(overload_result) == []
 
     def test_flood_degrades_unmitigated_service(self, overload_result):
         row = overload_result.row("none")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.population import (EXPERIMENT, PopulationExperiment,
-                                          PopulationResult, check_shape, run)
+                                          PopulationResult)
 from repro.runtime import result_digest
 from repro.workload.arrivals import DiurnalProfile
 
@@ -14,7 +14,7 @@ SMALL = dict(target_queries=400, districts=1, catalog=2_000,
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run(**SMALL)
+    return EXPERIMENT.run_serial(**SMALL)
 
 
 class TestPlanning:
@@ -77,14 +77,14 @@ class TestResult:
         assert "allocation=content" in text
 
     def test_serial_reruns_are_digest_identical(self, small_result):
-        again = run(**SMALL)
+        again = EXPERIMENT.run_serial(**SMALL)
         assert result_digest(again) == result_digest(small_result)
         assert again.render() == small_result.render()
 
 
 class TestShapeClaims:
     def test_small_run_passes_the_structural_claims(self, small_result):
-        assert check_shape(small_result) == []
+        assert EXPERIMENT.check_shape(small_result) == []
 
     def test_empty_rows_are_flagged(self, small_result):
         row = small_result.rows[0]._replace(queries=0)
@@ -94,7 +94,7 @@ class TestShapeClaims:
             allocation=small_result.allocation,
             catalog=small_result.catalog)
         assert any("no queries" in violation
-                   for violation in check_shape(broken))
+                   for violation in EXPERIMENT.check_shape(broken))
 
     def test_delocalized_mec_row_is_flagged(self, small_result):
         row = small_result.row("mec-ldns-mec-cdns")._replace(
@@ -105,4 +105,4 @@ class TestShapeClaims:
             allocation=small_result.allocation,
             catalog=small_result.catalog)
         assert any("localization" in violation
-                   for violation in check_shape(broken))
+                   for violation in EXPERIMENT.check_shape(broken))

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.resilience import (DEADLINE_MS, MODES, SCENARIOS,
-                                          check_shape, run)
+from repro.experiments.resilience import (DEADLINE_MS, EXPERIMENT, MODES,
+                                          SCENARIOS)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run(queries=40, seed=42)
+    return EXPERIMENT.run_serial(queries=40, seed=42)
 
 
 class TestResilienceGrid:
@@ -26,7 +26,7 @@ class TestResilienceGrid:
             result.row("cdns-crash", "no-such-deployment", "baseline")
 
     def test_shape_claims_hold_at_full_fidelity(self, result):
-        assert check_shape(result) == []
+        assert EXPERIMENT.check_shape(result) == []
 
     def test_stale_answers_only_in_resilient_cells(self, result):
         for row in result.rows:
@@ -62,12 +62,12 @@ class TestDeterminism:
             assert first == second
 
     def test_identical_seeds_reproduce_the_whole_grid(self):
-        first = run(queries=5, seed=7)
-        second = run(queries=5, seed=7)
+        first = EXPERIMENT.run_serial(queries=5, seed=7)
+        second = EXPERIMENT.run_serial(queries=5, seed=7)
         assert first.timelines == second.timelines
         assert first.rows == second.rows
 
     def test_different_seeds_change_measurements(self):
-        first = run(queries=5, seed=7)
-        second = run(queries=5, seed=8)
+        first = EXPERIMENT.run_serial(queries=5, seed=7)
+        second = EXPERIMENT.run_serial(queries=5, seed=8)
         assert first.rows != second.rows

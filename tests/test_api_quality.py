@@ -1,9 +1,10 @@
 """API quality gates: documentation, export hygiene, dependencies.
 
 Every public module, class, and function in the library must carry a
-docstring, every name exported via ``__all__`` must resolve, and the
-whole package must import on the standard library alone — the kind of
-checks a release pipeline runs.
+docstring, every name exported via ``__all__`` must resolve, every
+paper artifact has one entry point (its registered ``Experiment``), and
+the whole package must import on the standard library alone — the kind
+of checks a release pipeline runs.
 """
 
 import importlib
@@ -17,6 +18,8 @@ import sys
 import pytest
 
 import repro
+import repro.experiments
+from repro.experiments.registry import builtin_registry
 
 
 def iter_modules():
@@ -82,6 +85,24 @@ def test_dunder_all_resolves(module):
     missing = [name for name in module.__all__
                if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ has dead names: {missing}"
+
+
+def test_experiment_modules_keep_no_module_level_twins():
+    # The registered Experiment's params are the only defaults: a
+    # module-level run()/check_shape() beside it could drift from them.
+    registry = builtin_registry()
+    twins = []
+    for name in registry.names():
+        module = sys.modules[type(registry.get(name)).__module__]
+        twins += [f"{module.__name__}.{attr}"
+                  for attr in ("run", "check_shape") if hasattr(module, attr)]
+    assert not twins, f"module-level twins of registered experiments: {twins}"
+
+
+def test_experiments_package_exports_no_runners():
+    runners = sorted(name for name in vars(repro.experiments)
+                     if name.startswith("run_"))
+    assert not runners, f"repro.experiments re-exports runners: {runners}"
 
 
 #: Refuses every import from outside the standard library, then imports
