@@ -17,13 +17,13 @@ for the requesting client:
 
 from __future__ import annotations
 
-import ipaddress
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cdn.allocation import (ALLOCATION_POLICIES, ConsistentAllocator,
                                   HashRing)
 from repro.cdn.cache_server import CacheServer
 from repro.dnswire.edns import ClientSubnet
+from repro.dnswire.ipv4 import ipv4_int, ipv4_network
 from repro.dnswire.message import Message, ResourceRecord, make_response
 from repro.dnswire.name import Name
 from repro.dnswire.rdata import A
@@ -66,12 +66,12 @@ class CoverageZone(NamedTuple):
 
     def covers(self, ip: str) -> Tuple[bool, int]:
         """(matched, matched-prefix-length) for ``ip``."""
-        address = ipaddress.IPv4Address(ip)
+        address = ipv4_int(ip)
         best = -1
         for cidr in self.networks:
-            network = ipaddress.IPv4Network(cidr)
-            if address in network:
-                best = max(best, network.prefixlen)
+            network, netmask, prefixlen = ipv4_network(cidr)
+            if address & netmask == network:
+                best = max(best, prefixlen)
         return best >= 0, max(best, 0)
 
 

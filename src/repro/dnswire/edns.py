@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import math
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.dnswire.types import DEFAULT_EDNS_PAYLOAD
 from repro.dnswire.wire import WireReader, WireWriter
@@ -229,7 +229,7 @@ class Edns:
 
     def __init__(self, udp_payload: int = DEFAULT_EDNS_PAYLOAD, version: int = 0,
                  dnssec_ok: bool = False,
-                 options: Optional[List[EdnsOption]] = None) -> None:
+                 options: Optional[Sequence[EdnsOption]] = None) -> None:
         self.udp_payload = udp_payload
         self.version = version
         self.dnssec_ok = dnssec_ok

@@ -6,7 +6,8 @@ with wire and presentation codecs.  Unknown types round-trip through
 understand, as real resolvers must.
 
 IPv4/IPv6 addresses are carried as strings in canonical presentation form;
-:mod:`ipaddress` does the validation.
+:mod:`ipaddress` does the validation (IPv4 through the parse-once
+helpers in :mod:`repro.dnswire.ipv4`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import ipaddress
 from typing import Callable, Dict, List, Tuple, Type
 
+from repro.dnswire.ipv4 import ipv4_int, ipv4_text
 from repro.dnswire.name import Name
 from repro.dnswire.types import RecordType
 from repro.dnswire.wire import WireReader, WireWriter
@@ -99,14 +101,14 @@ class A(Rdata):
     __slots__ = ("address",)
 
     def __init__(self, address: str) -> None:
-        self.address = str(ipaddress.IPv4Address(address))
+        self.address = ipv4_text(address)
 
     def _key(self) -> tuple:
         return (self.address,)
 
     def to_wire(self, writer: WireWriter) -> None:
         """Serialise to wire format."""
-        writer.write_bytes(ipaddress.IPv4Address(self.address).packed)
+        writer.write_bytes(ipv4_int(self.address).to_bytes(4, "big"))
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "A":

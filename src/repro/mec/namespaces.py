@@ -21,6 +21,7 @@ import enum
 import ipaddress
 from typing import Generator, List, Set
 
+from repro.dnswire.ipv4 import ipv4_int
 from repro.dnswire.message import make_response
 from repro.dnswire.name import Name
 from repro.dnswire.types import Rcode
@@ -41,8 +42,8 @@ class SplitNamespacePlugin(Plugin):
 
     def __init__(self, internal_networks: List[str],
                  policy: NamespacePolicy = NamespacePolicy.REFUSE) -> None:
-        self.internal_networks = [ipaddress.IPv4Network(cidr)
-                                  for cidr in internal_networks]
+        self.internal_networks: List[ipaddress.IPv4Network] = [
+            ipaddress.IPv4Network(cidr) for cidr in internal_networks]
         self.policy = policy
         self._public_suffixes: Set[Name] = set()
         self.refused = 0
@@ -65,8 +66,11 @@ class SplitNamespacePlugin(Plugin):
 
     def is_internal_client(self, ip: str) -> bool:
         """Whether ``ip`` belongs to the internal VNF networks."""
-        address = ipaddress.IPv4Address(ip)
-        return any(address in network for network in self.internal_networks)
+        address = ipv4_int(ip)
+        for network in self.internal_networks:
+            if address & int(network.netmask) == int(network.network_address):
+                return True
+        return False
 
     @property
     def public_suffixes(self) -> List[Name]:

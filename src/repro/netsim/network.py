@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import AddressError, RoutingError
 from repro.netsim.engine import Simulator
@@ -42,7 +42,11 @@ class Network:
         self._hosts: Dict[str, Host] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._ip_index: Dict[str, Host] = {}
-        self._taps: List[Tap] = []
+        #: Registered taps with the host each watches (``None``: all).
+        self._taps: List[Tuple[Tap, Optional[str]]] = []
+        #: Hosts some tap watches, or ``None`` when a tap watches every
+        #: host.  A hop event at an unwatched host is never queued.
+        self._tapped_hosts: Optional[FrozenSet[str]] = frozenset()
         #: Routing cache: source -> destination -> hop list.
         self._paths: Dict[str, Dict[str, List[str]]] = {}
         #: Attached :class:`repro.telemetry.Telemetry`, or ``None``.
@@ -187,13 +191,27 @@ class Network:
                 return True
         return False
 
-    def add_tap(self, tap: Tap) -> None:
-        """Register a packet observer (see PacketTrace)."""
-        self._taps.append(tap)
+    def add_tap(self, tap: Tap, host: Optional[str] = None) -> None:
+        """Register a packet observer (see PacketTrace).
+
+        With ``host`` the tap sees only events at that host, and hop
+        events at hosts no tap watches are not queued at all.
+        """
+        self._taps.append((tap, host))
+        self._retap()
 
     def remove_tap(self, tap: Tap) -> None:
-        """Unregister a packet observer."""
-        self._taps.remove(tap)
+        """Unregister a packet observer; ValueError if it is not one."""
+        for index, (registered, _) in enumerate(self._taps):
+            if registered == tap:
+                del self._taps[index]
+                self._retap()
+                return
+        raise ValueError(f"{tap!r} is not a registered tap")
+
+    def _retap(self) -> None:
+        hosts = [host for _, host in self._taps]
+        self._tapped_hosts = None if None in hosts else frozenset(hosts)
 
     # -- routing ----------------------------------------------------------------------------
 
@@ -353,15 +371,17 @@ class Network:
 
     def _schedule_tap(self, event: str, host_name: str, datagram: Datagram,
                       elapsed: float) -> None:
-        if not self._taps:
+        hosts = self._tapped_hosts
+        if hosts is not None and host_name not in hosts:
             return
         self.sim.call_after(
             elapsed, self._emit, event, host_name, datagram)
 
     def _emit(self, event: str, host_name: str, datagram: Datagram) -> None:
         now = self.sim.now
-        for tap in self._taps:
-            tap(now, host_name, event, datagram)
+        for tap, host in self._taps:
+            if host is None or host == host_name:
+                tap(now, host_name, event, datagram)
 
     def _count_drop(self, reason: str) -> None:
         tel = self.telemetry

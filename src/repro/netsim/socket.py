@@ -24,8 +24,12 @@ def _fail_request(future: SimFuture, dst: Endpoint, timeout: float) -> None:
     """Timeout event for :meth:`UdpSocket.request` (no-op if already won).
 
     A module-level function with scheduler-carried args — no closure
-    allocated per request on the hottest client path (HOT002).
+    allocated per request on the hottest client path (HOT002).  Most
+    requests are answered long before their timer fires, so the message
+    and the exception are built only for a future still pending.
     """
+    if future.done:
+        return
     future.fail(QueryTimeout(f"no reply from {dst} within {timeout}ms"))
 
 

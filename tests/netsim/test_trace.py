@@ -1,5 +1,7 @@
 """Tests for the PacketTrace tcpdump-analog tap and its filters."""
 
+import pytest
+
 from repro.netsim.engine import Simulator
 from repro.netsim.latency import Constant
 from repro.netsim.network import Network
@@ -7,6 +9,7 @@ from repro.netsim.packet import Endpoint
 from repro.netsim.rand import RandomStreams
 from repro.netsim.socket import UdpSocket
 from repro.netsim.trace import PacketTrace
+from tests.netsim.test_network import _Nat, build_line
 
 
 def three_hop_network():
@@ -107,3 +110,106 @@ class TestLifecycle:
         trace.close()
         send_one(sim, net)
         assert len(trace) == seen
+
+
+def nat_topology():
+    """ue -- pgw (source NAT) -- cdn: 10 ms then 20 ms."""
+    sim = Simulator()
+    net = Network(sim, RandomStreams(1))
+    net.add_host("ue", "10.1.0.2")
+    net.add_host("pgw", "10.1.0.1", "198.51.100.1")
+    net.add_host("cdn", "203.0.113.10")
+    net.add_link("ue", "pgw", Constant(10))
+    net.add_link("pgw", "cdn", Constant(20))
+    net.host("pgw").install_middlebox(_Nat("198.51.100.1"))
+    return sim, net, Endpoint("203.0.113.10", 53)
+
+
+def multi_hop_topology():
+    """ue -- enb -- pgw -- dns with distinct constant link latencies."""
+    sim = Simulator()
+    net = Network(sim, RandomStreams(42))
+    build_line(net, ("ue", "10.0.0.1", 10), ("enb", "10.0.0.4", 3),
+               ("pgw", "10.0.0.2", 20), ("dns", "10.0.0.3", 0))
+    return sim, net, Endpoint("10.0.0.3", 53)
+
+
+def run_exchange(topology, *trace_kwargs):
+    """Two request/reply exchanges plus one unroutable datagram.
+
+    One PacketTrace per ``trace_kwargs`` dict is attached first; returns
+    ``(sim, net, traces)``.
+    """
+    sim, net, server_endpoint = topology()
+    traces = [PacketTrace(net, **kwargs) for kwargs in trace_kwargs]
+    server = UdpSocket(net.host_for_ip(server_endpoint.ip),
+                       port=server_endpoint.port)
+    server.on_datagram = lambda payload, src, sock: sock.send_to(b"r", src)
+    for _ in range(2):
+        client = UdpSocket(net.host("ue"))
+        sim.run_until_resolved(
+            client.request(b"q", server_endpoint, timeout=500))
+        client.close()
+    UdpSocket(net.host("ue")).send_to(b"x", Endpoint("192.0.2.99", 53))
+    sim.run()
+    return sim, net, traces
+
+
+TOPOLOGIES = {"nat": nat_topology, "multi-hop": multi_hop_topology}
+
+
+class TestHostScopedTaps:
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_scoped_trace_equals_filtered_unscoped_trace(self, name):
+        topology = TOPOLOGIES[name]
+        _, net, (everything,) = run_exchange(topology, {})
+        hosts = [host.name for host in net.hosts()]
+        assert {record.host for record in everything.records} == set(hosts)
+        assert {record.event for record in everything.records} == {
+            "send", "forward", "deliver", "drop"}
+        for host in hosts:
+            _, _, (scoped,) = run_exchange(topology, {"host_filter": host})
+            expected = [record for record in everything.records
+                        if record.host == host]
+            assert scoped.records == expected
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_scoped_tap_queues_fewer_events(self, name):
+        unscoped_sim, _, _ = run_exchange(TOPOLOGIES[name], {})
+        scoped_sim, _, (scoped,) = run_exchange(TOPOLOGIES[name],
+                                                {"host_filter": "pgw"})
+        assert scoped.records
+        assert scoped_sim.now == unscoped_sim.now
+        assert scoped_sim.events_processed < unscoped_sim.events_processed
+
+    def test_scoped_and_unscoped_taps_side_by_side(self):
+        kwargs = [{}, {"host_filter": "enb"},
+                  {"host_filter": "pgw", "event_filter": "forward"},
+                  {"host_filter": "pgw"}]
+        _, _, traces = run_exchange(multi_hop_topology, *kwargs)
+        everything = traces[0].records
+        for options, trace in zip(kwargs[1:], traces[1:]):
+            assert trace.records == [
+                record for record in everything
+                if record.host == options["host_filter"]
+                and options.get("event_filter", record.event) == record.event]
+
+    def test_remove_tap_rejects_an_unknown_tap(self):
+        _, net = three_hop_network()
+        trace = PacketTrace(net, host_filter="middle")
+        with pytest.raises(ValueError):
+            net.remove_tap(lambda *args: None)
+        trace.close()
+        with pytest.raises(ValueError):
+            trace.close()
+
+    def test_closing_the_last_scoped_tap_stops_queueing(self):
+        sim, net = three_hop_network()
+        send_one(sim, net)
+        bare = sim.events_processed  # the delivery alone
+        trace = PacketTrace(net, host_filter="middle")
+        send_one(sim, net)
+        assert sim.events_processed == 2 * bare + 1  # plus one forward
+        trace.close()
+        send_one(sim, net)
+        assert sim.events_processed == 3 * bare + 1
