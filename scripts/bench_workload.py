@@ -4,10 +4,10 @@
 Drives one deployment's calibrated mesoscale engine at ``--target-queries``
 scale (default 10^6) through the ``population`` experiment, twice — serial
 and ``--jobs 2`` — asserting the digests match, and records throughput
-and peak RSS into ``BENCH_workload.json``.  This number is the baseline
-ROADMAP item 2 (the netsim hot-path overhaul) is measured against: the
-engine column is where mesoscale simulation is today; the calibration
-column is the full packet-level simulator's cost for the same lookups.
+and peak RSS into ``BENCH_workload.json``.  The engine column is where
+mesoscale simulation is today; the calibration column is the full
+packet-level simulator's cost for the same lookups, the bar the engine
+has to clear.
 
     PYTHONPATH=src python scripts/bench_workload.py [--out BENCH_workload.json]
 
@@ -97,7 +97,7 @@ def main() -> int:
 
     # How fast is the packet-level simulator for the same lookups?  Time
     # one calibration batch; that per-query cost is the bar the
-    # mesoscale engine clears and ROADMAP item 2 must raise.
+    # mesoscale engine clears.
     started = time.perf_counter()
     calibrate(DEPLOYMENT, seed=42)
     calibration_s = time.perf_counter() - started

@@ -69,7 +69,7 @@ def begin_trial_capture(
     ``config`` is the session facade's :class:`TelemetryConfig` (or
     ``None`` for no capture): every trial facade must make the same
     sampling decisions and use the same window/reservoir layout as the
-    session it merges into, so the executor ships the six-value config
+    session it merges into, so the executor ships the three-value config
     across the process boundary instead of the facade itself.
 
     Always *replaces* the ambient default — in a forked worker the

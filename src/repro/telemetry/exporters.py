@@ -82,10 +82,8 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
         elif isinstance(instrument, Histogram):
             for key, sample in instrument.samples():
                 exemplars = instrument.exemplars(**dict(key))
-                running = 0
-                for index, (bound, in_bucket) in enumerate(
-                        zip(instrument.buckets, sample.bucket_counts)):
-                    running += in_bucket
+                for index, (bound, running) in enumerate(
+                        sample.cumulative()):
                     bucket_pairs = list(key) + [("le", _format_value(bound))]
                     line = (f"{name}_bucket{_render_labels(bucket_pairs)}"
                             f" {running}")
@@ -225,9 +223,7 @@ def to_json_artifact(registry: MetricsRegistry,
                 "count": sample.count,
                 "sum": sample.total,
                 "buckets": [{"le": _jsonable(bound), "count": cumulative}
-                            for bound, cumulative
-                            in _cumulate(instrument.buckets,
-                                         sample.bucket_counts)],
+                            for bound, cumulative in sample.cumulative()],
             } for key, sample in instrument.samples()]
         metrics.append(entry)
 
@@ -263,13 +259,6 @@ def to_json_artifact(registry: MetricsRegistry,
             "by_name": [by_name[key] for key in sorted(by_name)],
         }
     return document
-
-
-def _cumulate(bounds, counts):
-    running = 0
-    for bound, in_bucket in zip(bounds, counts):
-        running += in_bucket
-        yield bound, running
 
 
 def write_json_artifact(registry: MetricsRegistry, path: str,

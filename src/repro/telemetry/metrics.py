@@ -13,7 +13,8 @@ Label values are stringified and samples are keyed by the sorted
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -22,10 +23,57 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: observed value that landed it there.
 ExemplarValue = Tuple[LabelKey, float]
 
-#: Latency-oriented default buckets, in milliseconds.
+#: Latency bucket upper bounds, in milliseconds — the one layout every
+#: histogram, time-series window and exported ``_bucket`` series uses.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
     1000.0, 2000.0, 5000.0, float("inf"))
+
+
+class BucketCounts:
+    """One fixed-bucket aggregate over :data:`DEFAULT_BUCKETS`.
+
+    ``counts[i]`` holds the values in ``(DEFAULT_BUCKETS[i-1],
+    DEFAULT_BUCKETS[i]]``; ``total`` accumulates left to right in
+    arrival order and ``count`` is exact.  Merging adds bucket-wise, so
+    cells filled on different shards and merged in spec order equal
+    the cell one pass over all values would give.
+    """
+
+    __slots__ = ("counts", "total", "count")
+
+    def __init__(self) -> None:
+        self.counts = [0] * len(DEFAULT_BUCKETS)
+        self.total = 0.0
+        self.count = 0
+
+    def add(self, value: float) -> int:
+        """Record ``value``; returns the index of the bucket it landed in."""
+        index = bisect_left(DEFAULT_BUCKETS, value)
+        self.counts[index] += 1
+        self.total += value
+        self.count += 1
+        return index
+
+    def merge(self, other: "BucketCounts") -> None:
+        """Add every bucket, the sum and the count of ``other``."""
+        counts = self.counts
+        for index, count in enumerate(other.counts):
+            counts[index] += count
+        self.total += other.total
+        self.count += other.count
+
+    def cumulative(self) -> List[Tuple[float, int]]:
+        """``(upper_bound, cumulative_count)`` pairs, Prometheus style."""
+        running = 0
+        out: List[Tuple[float, int]] = []
+        for bound, count in zip(DEFAULT_BUCKETS, self.counts):
+            running += count
+            out.append((bound, running))
+        return out
+
+    def __repr__(self) -> str:
+        return f"BucketCounts(count={self.count}, total={self.total!r})"
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -118,34 +166,21 @@ class Gauge:
         return f"Gauge({self.name}, {len(self._samples)} series)"
 
 
-class _HistogramSample:
-    __slots__ = ("bucket_counts", "total", "count")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts = [0] * n_buckets
-        self.total = 0.0
-        self.count = 0
-
-
 class Histogram:
     """Fixed-bucket cumulative histogram (Prometheus semantics).
 
     ``observe(v)`` increments every bucket whose upper bound is ≥ v when
-    exported; internally each observation lands in exactly one bucket
-    and cumulation happens at read time.
+    exported; internally each observation lands in exactly one
+    :class:`BucketCounts` bucket and cumulation happens at read time.
+    The layout is always :data:`DEFAULT_BUCKETS`.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str,
-                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds or bounds[-1] != float("inf"):
-            bounds.append(float("inf"))
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
-        self.buckets: Tuple[float, ...] = tuple(bounds)
-        self._samples: Dict[LabelKey, _HistogramSample] = {}
+        self._samples: Dict[LabelKey, BucketCounts] = {}
         #: Last exemplar per (label set, bucket index) — OpenMetrics
         #: semantics: a bucket carries at most one, newest wins.
         self._exemplars: Dict[LabelKey, Dict[int, ExemplarValue]] = {}
@@ -162,16 +197,11 @@ class Histogram:
         key = _label_key(labels)
         sample = self._samples.get(key)
         if sample is None:
-            sample = self._samples[key] = _HistogramSample(len(self.buckets))
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                sample.bucket_counts[index] += 1
-                if exemplar is not None:
-                    self._exemplars.setdefault(key, {})[index] = (
-                        _label_key(dict(exemplar)), value)
-                break
-        sample.total += value
-        sample.count += 1
+            sample = self._samples[key] = BucketCounts()
+        index = sample.add(value)
+        if exemplar is not None:
+            self._exemplars.setdefault(key, {})[index] = (
+                _label_key(dict(exemplar)), value)
 
     def exemplars(self, **labels: object) -> Dict[int, ExemplarValue]:
         """Bucket-index -> exemplar for one label combination."""
@@ -187,38 +217,18 @@ class Histogram:
         sample = self._samples.get(_label_key(labels))
         return sample.total if sample is not None else 0.0
 
-    def cumulative_buckets(self, **labels: object) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs for one sample."""
-        sample = self._samples.get(_label_key(labels))
-        if sample is None:
-            return [(bound, 0) for bound in self.buckets]
-        running = 0
-        out: List[Tuple[float, int]] = []
-        for bound, in_bucket in zip(self.buckets, sample.bucket_counts):
-            running += in_bucket
-            out.append((bound, running))
-        return out
-
-    def samples(self) -> Iterator[Tuple[LabelKey, _HistogramSample]]:
+    def samples(self) -> Iterator[Tuple[LabelKey, BucketCounts]]:
         """``(label_key, sample)`` pairs in stable sorted order."""
         yield from sorted(self._samples.items(), key=lambda item: item[0])
 
     def merge_from(self, other: "Histogram") -> None:
-        """Add every sample of ``other``; bucket layouts must match."""
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"histogram {self.name!r} bucket mismatch: "
-                f"{self.buckets} vs {other.buckets}")
+        """Add every sample of ``other`` bucket-wise."""
         for key, theirs in sorted(other._samples.items(),
                                   key=lambda item: item[0]):
             mine = self._samples.get(key)
             if mine is None:
-                mine = self._samples[key] = _HistogramSample(
-                    len(self.buckets))
-            for index, count in enumerate(theirs.bucket_counts):
-                mine.bucket_counts[index] += count
-            mine.total += theirs.total
-            mine.count += theirs.count
+                mine = self._samples[key] = BucketCounts()
+            mine.merge(theirs)
         # Incoming exemplars win: snapshots merge in spec order, so
         # "newest" is the later trial — same outcome on every backend.
         for key, per_bucket in sorted(other._exemplars.items()):
@@ -250,21 +260,9 @@ class MetricsRegistry:
         """The gauge called ``name``, creating it on first use."""
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """The histogram called ``name``, creating it on first use.
-
-        ``buckets`` only applies on creation; later callers share the
-        instrument as registered.
-        """
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = Histogram(name, help, buckets)
-            self._instruments[name] = instrument
-        elif not isinstance(instrument, Histogram):
-            raise ValueError(
-                f"metric {name!r} already registered as {instrument.kind}")
-        return instrument
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        """The histogram called ``name``, creating it on first use."""
+        return self._get_or_create(Histogram, name, help)
 
     def get(self, name: str) -> Optional[object]:
         """The registered instrument called ``name``, or ``None``."""
@@ -286,7 +284,7 @@ class MetricsRegistry:
 
         Counters add, gauges adopt the incoming value, histograms add
         bucket-wise.  Instruments missing here are created with the
-        incoming help text (and bucket layout); a name registered as a
+        incoming help text; a name registered as a
         different kind in the two registries raises, same as
         re-registering locally would.
         """
@@ -297,8 +295,7 @@ class MetricsRegistry:
             elif isinstance(theirs, Gauge):
                 self.gauge(name, theirs.help).merge_from(theirs)
             elif isinstance(theirs, Histogram):
-                self.histogram(name, theirs.help,
-                               theirs.buckets).merge_from(theirs)
+                self.histogram(name, theirs.help).merge_from(theirs)
             else:  # pragma: no cover - registry only stores these kinds
                 raise TypeError(
                     f"metric {name!r} has unmergeable type "

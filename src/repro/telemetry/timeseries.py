@@ -6,74 +6,61 @@ wide, indexed ``int(t_ms // window_ms)``), so a series is a sparse map
 from window index to a small aggregate cell:
 
 * **counter** series — one float per window (events in that window);
-* **latency** series — count, sum, and fixed-bucket counts per window
-  (the bucket layout is :data:`~repro.telemetry.metrics.DEFAULT_BUCKETS`),
-  enough to estimate any per-window quantile and to count threshold
-  exceedances for burn-rate rules without retaining samples.
+* **latency** series — one :class:`~repro.telemetry.metrics.BucketCounts`
+  per window (count, sum, and the
+  :data:`~repro.telemetry.metrics.DEFAULT_BUCKETS` counts), enough to
+  estimate any per-window quantile and to count threshold exceedances
+  for burn-rate rules without retaining samples.
 
 Control-plane moments (zone updates, fault injections, handovers) are
 **annotations** on the same timeline: ``(t_ms, name, detail, scope)``
 tuples rendered alongside the series so a mislocalization burst lines
 up with the churn event that caused it.
 
-Memory is bounded: each series keeps at most ``max_windows`` windows
-(oldest dropped first) and at most ``max_annotations`` annotations
-survive (earliest kept, after sorting).  Both bounds are enforced
-identically on every backend, and :meth:`TimeSeries.merge_from` adds
-window-wise — so per-trial instances merged in spec order reproduce
-the serial instance exactly, extending the byte-identical artifact
-contract to the time dimension.  Nothing here reads a clock or draws
-randomness; callers pass simulated timestamps in.
+Memory is bounded: each series keeps at most :data:`MAX_WINDOWS`
+windows (oldest dropped first) and at most :data:`MAX_ANNOTATIONS`
+annotations survive (earliest kept, after sorting).  Both bounds are
+enforced identically on every backend, and :meth:`TimeSeries.merge_from`
+adds window-wise — so per-trial instances merged in spec order
+reproduce the serial instance exactly, extending the byte-identical
+artifact contract to the time dimension.  Nothing here reads a clock or
+draws randomness; callers pass simulated timestamps in.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.telemetry.metrics import DEFAULT_BUCKETS, LabelKey, _label_key
-
-#: A latency window cell: ``[count, sum, bucket_counts]``.
-LatencyCell = List[Any]
+from repro.telemetry.metrics import (DEFAULT_BUCKETS, BucketCounts, LabelKey,
+                                     _label_key)
 
 #: One annotation: ``(t_ms, name, detail, scope)``.
 Annotation = Tuple[float, str, str, str]
 
-_N_BUCKETS = len(DEFAULT_BUCKETS)
+#: Windows each series keeps (oldest dropped first).
+MAX_WINDOWS = 4096
+#: Annotations kept (earliest first, after sorting).
+MAX_ANNOTATIONS = 512
 
 
 class TimeSeries:
     """Windowed counters + latency aggregates + timeline annotations."""
 
-    def __init__(self, window_ms: float = 1000.0,
-                 max_windows: int = 4096,
-                 max_annotations: int = 512) -> None:
+    def __init__(self, window_ms: float = 1000.0) -> None:
         if window_ms <= 0:
             raise ValueError(f"window_ms must be > 0, got {window_ms}")
-        if max_windows < 1:
-            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         self.window_ms = float(window_ms)
-        self.max_windows = max_windows
-        self.max_annotations = max_annotations
         self._counters: Dict[str, Dict[LabelKey, Dict[int, float]]] = {}
-        self._latencies: Dict[str, Dict[LabelKey, Dict[int, LatencyCell]]] = {}
+        self._latencies: Dict[str, Dict[LabelKey,
+                                        Dict[int, BucketCounts]]] = {}
         self._annotations: List[Annotation] = []
 
     # -- recording ----------------------------------------------------------
 
-    def window_index(self, t_ms: float) -> int:
-        """The window holding simulated time ``t_ms``."""
-        return int(t_ms // self.window_ms)
-
     def count(self, name: str, t_ms: float, amount: float = 1.0,
               **labels: object) -> None:
         """Add ``amount`` to the counter series window covering ``t_ms``."""
-        series = self._counters.setdefault(name, {}).setdefault(
-            _label_key(labels), {})
-        index = int(t_ms // self.window_ms)
-        series[index] = series.get(index, 0.0) + amount
-        if len(series) > self.max_windows:
-            self._prune_counter(series)
+        self.bulk_count(name, labels, {int(t_ms // self.window_ms): amount})
 
     def observe(self, name: str, t_ms: float, value: float,
                 **labels: object) -> None:
@@ -83,12 +70,9 @@ class TimeSeries:
         index = int(t_ms // self.window_ms)
         cell = series.get(index)
         if cell is None:
-            cell = series[index] = [0, 0.0, [0] * _N_BUCKETS]
-        cell[0] += 1
-        cell[1] += value
-        cell[2][bisect_left(DEFAULT_BUCKETS, value)] += 1
-        if len(series) > self.max_windows:
-            self._prune_latency(series)
+            cell = series[index] = BucketCounts()
+        cell.add(value)
+        _prune(series)
 
     def annotate(self, t_ms: float, name: str, detail: str = "",
                  scope: str = "") -> None:
@@ -100,36 +84,19 @@ class TimeSeries:
     def bulk_count(self, name: str, labels: Dict[str, object],
                    cells: Dict[int, float]) -> None:
         """Fold pre-aggregated counter windows in (window index -> value)."""
-        series = self._counters.setdefault(name, {}).setdefault(
-            _label_key(labels), {})
-        for index, value in cells.items():
-            series[index] = series.get(index, 0.0) + value
-        if len(series) > self.max_windows:
-            self._prune_counter(series)
+        _add_counts(self._counters.setdefault(name, {}).setdefault(
+            _label_key(labels), {}), cells)
 
     def bulk_observe(self, name: str, labels: Dict[str, object],
-                     cells: Dict[int, LatencyCell]) -> None:
-        """Fold pre-aggregated latency windows in.
+                     cells: Dict[int, BucketCounts]) -> None:
+        """Fold pre-aggregated latency windows in (window index -> cell).
 
-        Each incoming cell is ``[count, sum, bucket_counts]`` with the
-        module's bucket layout — exactly what the population engine
-        accumulates inline, so a district flushes its whole run in one
-        call instead of paying a method dispatch per query.
+        This is what the population engine accumulates inline, so a
+        district flushes its whole run in one call instead of paying a
+        method dispatch per query.
         """
-        series = self._latencies.setdefault(name, {}).setdefault(
-            _label_key(labels), {})
-        for index, theirs in cells.items():
-            cell = series.get(index)
-            if cell is None:
-                series[index] = [theirs[0], theirs[1], list(theirs[2])]
-                continue
-            cell[0] += theirs[0]
-            cell[1] += theirs[1]
-            mine = cell[2]
-            for at, count in enumerate(theirs[2]):
-                mine[at] += count
-        if len(series) > self.max_windows:
-            self._prune_latency(series)
+        _add_cells(self._latencies.setdefault(name, {}).setdefault(
+            _label_key(labels), {}), cells)
 
     # -- merging ------------------------------------------------------------
 
@@ -140,48 +107,16 @@ class TimeSeries:
                 f"window mismatch: {self.window_ms} vs {other.window_ms}")
         for name in sorted(other._counters):
             for key in sorted(other._counters[name]):
-                series = self._counters.setdefault(name, {}).setdefault(
-                    key, {})
-                for index, value in other._counters[name][key].items():
-                    series[index] = series.get(index, 0.0) + value
-                if len(series) > self.max_windows:
-                    self._prune_counter(series)
+                _add_counts(self._counters.setdefault(name, {}).setdefault(
+                    key, {}), other._counters[name][key])
         for name in sorted(other._latencies):
             for key in sorted(other._latencies[name]):
-                series = self._latencies.setdefault(name, {}).setdefault(
-                    key, {})
-                for index, theirs in other._latencies[name][key].items():
-                    cell = series.get(index)
-                    if cell is None:
-                        series[index] = [theirs[0], theirs[1],
-                                         list(theirs[2])]
-                        continue
-                    cell[0] += theirs[0]
-                    cell[1] += theirs[1]
-                    mine = cell[2]
-                    for at, count in enumerate(theirs[2]):
-                        mine[at] += count
-                if len(series) > self.max_windows:
-                    self._prune_latency(series)
+                _add_cells(self._latencies.setdefault(name, {}).setdefault(
+                    key, {}), other._latencies[name][key])
         self._annotations.extend(other._annotations)
         self._cap_annotations()
 
     # -- reading back -------------------------------------------------------
-
-    def counter_series(self, name: str) -> List[Tuple[LabelKey,
-                                                      Dict[int, float]]]:
-        """``(labels, windows)`` per label set, in stable sorted order."""
-        by_label = self._counters.get(name, {})
-        return [(key, dict(by_label[key])) for key in sorted(by_label)]
-
-    def latency_series(self, name: str) -> List[Tuple[LabelKey,
-                                                      Dict[int,
-                                                           LatencyCell]]]:
-        """``(labels, windows)`` per label set, in stable sorted order."""
-        by_label = self._latencies.get(name, {})
-        return [(key, {index: [cell[0], cell[1], list(cell[2])]
-                       for index, cell in by_label[key].items()})
-                for key in sorted(by_label)]
 
     def annotations(self) -> List[Annotation]:
         """Every annotation, sorted by (time, scope, name, detail)."""
@@ -207,21 +142,21 @@ class TimeSeries:
                                 for index in sorted(windows)]})
         for name in sorted(self._latencies):
             for key in sorted(self._latencies[name]):
-                windows = self._latencies[name][key]
+                cells = self._latencies[name][key]
                 series.append({
                     "name": name, "kind": "latency", "labels": dict(key),
                     "windows": [{
                         "index": index,
                         "start_ms": index * self.window_ms,
-                        "count": windows[index][0],
-                        "sum": windows[index][1],
+                        "count": cells[index].count,
+                        "sum": cells[index].total,
                         "buckets": [
                             [("+Inf" if bound == float("inf") else bound),
                              count]
                             for bound, count in zip(DEFAULT_BUCKETS,
-                                                    windows[index][2])
+                                                    cells[index].counts)
                             if count],
-                    } for index in sorted(windows)]})
+                    } for index in sorted(cells)]})
         return {"format": "repro-timeseries-v1",
                 "window_ms": self.window_ms,
                 "series": series,
@@ -232,17 +167,9 @@ class TimeSeries:
 
     # -- internals ----------------------------------------------------------
 
-    def _prune_counter(self, series: Dict[int, float]) -> None:
-        for index in sorted(series)[:len(series) - self.max_windows]:
-            del series[index]
-
-    def _prune_latency(self, series: Dict[int, LatencyCell]) -> None:
-        for index in sorted(series)[:len(series) - self.max_windows]:
-            del series[index]
-
     def _cap_annotations(self) -> None:
         self._annotations.sort()
-        del self._annotations[self.max_annotations:]
+        del self._annotations[MAX_ANNOTATIONS:]
 
     def __repr__(self) -> str:
         n_series = (sum(len(v) for v in self._counters.values())
@@ -250,3 +177,26 @@ class TimeSeries:
         return (f"TimeSeries(window={self.window_ms:g}ms, "
                 f"{n_series} series, "
                 f"{len(self._annotations)} annotations)")
+
+
+def _add_counts(series: Dict[int, float], cells: Dict[int, float]) -> None:
+    for index, value in cells.items():
+        series[index] = series.get(index, 0.0) + value
+    _prune(series)
+
+
+def _add_cells(series: Dict[int, BucketCounts],
+               cells: Dict[int, BucketCounts]) -> None:
+    for index, theirs in cells.items():
+        mine = series.get(index)
+        if mine is None:
+            mine = series[index] = BucketCounts()
+        mine.merge(theirs)
+    _prune(series)
+
+
+def _prune(series: Dict[int, Any]) -> None:
+    """Drop the oldest windows beyond :data:`MAX_WINDOWS`."""
+    if len(series) > MAX_WINDOWS:
+        for index in sorted(series)[:len(series) - MAX_WINDOWS]:
+            del series[index]

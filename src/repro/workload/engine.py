@@ -34,16 +34,19 @@ request; per-stage breakdown rides on the exemplars) — without
 touching the simulation: no
 extra RNG draw, no clock read, and the district's :class:`DistrictStats`
 (hence every digest) is byte-identical with telemetry on or off.  The
-hot loop aggregates into plain local dicts and flushes once per
-district; the keep/drop decision for span trees is a splitmix64 hash of
-the session ordinal, so serial and sharded runs sample the exact same
-sessions.
+hot loop adds each query's DNS and total latency straight into its
+window's :class:`~repro.telemetry.BucketCounts` cells (sums accumulate
+left to right in arrival order, as ``TimeSeries.observe`` does) and
+counts it in per-site window rows; both live in plain local dicts and
+flush once per district.  Observability memory therefore grows with
+windows and sites, never with queries.  The keep/drop decision for
+span trees is a splitmix64 hash of the session ordinal, so serial and
+sharded runs sample the exact same sessions.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro import telemetry as _telemetry
@@ -52,7 +55,7 @@ from repro.cdn.allocation import (ALLOCATION_POLICIES, ConsistentAllocator,
 from repro.cdn.content import ZipfRankStream
 from repro.measure.histogram import LatencyHistogram
 from repro.runtime.spec import derive_seed
-from repro.telemetry import DEFAULT_BUCKETS, Exemplar, Span
+from repro.telemetry import BucketCounts, Exemplar, Span
 from repro.telemetry.sampling import hash_unit, hash_unit_u64
 from repro.workload.arrivals import DiurnalProfile, NhppArrivals
 from repro.workload.caches import RankLru
@@ -223,9 +226,9 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
     per_site = config.caches_per_site
 
     # -- observability bindings (all hoisted out of the hot loop).  The
-    # aggregates live in plain local dicts keyed by (site, window) and
-    # flush once at district end; nothing below draws randomness or
-    # reads a clock, so DistrictStats is identical with telemetry on/off.
+    # aggregates live in plain local dicts keyed by window and flush
+    # once at district end; nothing below draws randomness or reads a
+    # clock, so DistrictStats is identical with telemetry on/off.
     tel = _telemetry.get_default()
     observing = tel is not None
     if observing:
@@ -247,22 +250,23 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
         #: across districts (decision correlation, nothing else).
         scope_salt = int(hash_unit(scope_key) * 9007199254740992.0)
         deployment_key = model.key
-        # Raw per-window value lists; bucketed once per district in
-        # _flush_observability (sorted-array bucketing), which keeps the
-        # per-query cost to two list appends.
-        dns_vals: Dict[int, List[float]] = {}
-        total_vals: Dict[int, List[float]] = {}
+        # Per-window latency cells: each query adds its two latencies
+        # into the current window's cells, so memory grows with
+        # windows, not queries.
+        dns_cells: Dict[int, BucketCounts] = {}
+        total_cells: Dict[int, BucketCounts] = {}
         # Per-window site counters as flat int lists (index = site):
         # ``cur_q[site] += 1`` is the cheapest increment CPython offers,
         # and the window-change branch below re-points the four cursors
-        # at most once per session batch.
+        # (two cells, two rows) at most once per session batch.
         query_wins: Dict[int, List[int]] = {}
         misloc_wins: Dict[int, List[int]] = {}
         cur_q: List[int] = []
         cur_m: List[int] = []
-        # Degenerate bounds force a rebind on the first query.
+        # Degenerate bounds force a rebind on the first query, which
+        # replaces these never-written placeholder cells.
         win_lo = win_hi = 0.0
-        cur_dns_append = cur_total_append = _noop_append
+        cur_dns = cur_total = BucketCounts()
         threshold: Optional[float] = None
         session_ordinal = 0
         sampled_queries = 0
@@ -359,18 +363,17 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
                         window = int(start * win_scale)
                         win_lo = window * window_s
                         win_hi = win_lo + window_s
-                        vals = dns_vals.get(window)
-                        if vals is None:
-                            vals = dns_vals[window] = []
-                            total_vals[window] = []
+                        cur_dns = dns_cells.get(window)
+                        if cur_dns is None:
+                            cur_dns = dns_cells[window] = BucketCounts()
+                            total_cells[window] = BucketCounts()
                             query_wins[window] = [0] * config.sites
                             misloc_wins[window] = [0] * config.sites
-                        cur_dns_append = vals.append
-                        cur_total_append = total_vals[window].append
+                        cur_total = total_cells[window]
                         cur_q = query_wins[window]
                         cur_m = misloc_wins[window]
-                    cur_dns_append(dns_ms)
-                    cur_total_append(latency)
+                    cur_dns.add(dns_ms)
+                    cur_total.add(latency)
                     cur_q[site] += 1
                     if served_site != site:
                         cur_m[site] += 1
@@ -430,7 +433,7 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
             sessions += ue_sessions
 
     if observing:
-        _flush_observability(tel, model.key, dns_vals, total_vals,
+        _flush_observability(tel, model.key, dns_cells, total_cells,
                              query_wins, misloc_wins,
                              queries=queries, hits=hits,
                              localized=localized, sessions=sessions,
@@ -442,40 +445,6 @@ def run_district(config: DistrictConfig, model: DeploymentModel,
         queries=queries, sessions=sessions, active_ues=active, hits=hits,
         localized=localized, handovers=handovers, cache_load=cache_load,
         dns=dns_hist, total=total_hist)
-
-
-def _noop_append(_value: float) -> None:  # pragma: no cover - placeholder
-    """Placeholder bound before the first query initialises the window
-    cache; never called (the first query always misses the cache)."""
-
-
-def _bucket_windows(vals_by_window: Dict[int, List[float]],
-                    ) -> Dict[int, List[Any]]:
-    """Turn raw per-window value lists into ``[count, sum, buckets]``.
-
-    The sum is taken in chronological (arrival) order *before* sorting,
-    matching what incremental accumulation would have produced; bucket
-    counts then come from ``bisect_right`` cuts of the sorted array —
-    one bisect per bound per window instead of one per value, which is
-    what lets the hot loop get away with plain appends.
-    """
-    buckets = DEFAULT_BUCKETS
-    cells: Dict[int, List[Any]] = {}
-    for window, vals in vals_by_window.items():
-        total = sum(vals)
-        vals.sort()
-        n = len(vals)
-        counts = [0] * len(buckets)
-        prev = 0
-        for at, bound in enumerate(buckets):
-            if prev >= n:
-                break
-            cut = bisect_right(vals, bound)
-            if cut != prev:
-                counts[at] = cut - prev
-                prev = cut
-        cells[window] = [n, total, counts]
-    return cells
 
 
 def _site_major(wins: Dict[int, List[int]]) -> List[Dict[int, int]]:
@@ -490,8 +459,8 @@ def _site_major(wins: Dict[int, List[int]]) -> List[Dict[int, int]]:
 
 
 def _flush_observability(tel: Any, deployment: str,
-                         dns_vals: Dict[int, List[float]],
-                         total_vals: Dict[int, List[float]],
+                         dns_cells: Dict[int, BucketCounts],
+                         total_cells: Dict[int, BucketCounts],
                          query_wins: Dict[int, List[int]],
                          misloc_wins: Dict[int, List[int]],
                          queries: int, hits: int, localized: int,
@@ -504,12 +473,10 @@ def _flush_observability(tel: Any, deployment: str,
     """
     label = {"deployment": deployment}
     timeseries = tel.timeseries
-    if dns_vals:
-        timeseries.bulk_observe("repro_workload_dns_ms", label,
-                                _bucket_windows(dns_vals))
-    if total_vals:
+    if dns_cells:
+        timeseries.bulk_observe("repro_workload_dns_ms", label, dns_cells)
         timeseries.bulk_observe("repro_workload_total_ms", label,
-                                _bucket_windows(total_vals))
+                                total_cells)
     for name, wins in (("repro_workload_queries", query_wins),
                        ("repro_workload_mislocalized", misloc_wins)):
         for site_index, windows in enumerate(_site_major(wins)):

@@ -18,8 +18,7 @@ def _registry():
     counter = registry.counter("repro_test_total", "test counter")
     counter.inc(3, path='a\\b"c', note="two\nlines")
     registry.gauge("repro_test_depth", "test gauge").set(7, host="h1")
-    histogram = registry.histogram("repro_test_ms", "test histogram",
-                                   buckets=(1.0, 2.0))
+    histogram = registry.histogram("repro_test_ms", "test histogram")
     for value in (0.5, 1.5, 99.0):
         histogram.observe(value, deployment="d1")
     return registry
@@ -71,7 +70,8 @@ class TestJsonArtifact:
         by_name = {metric["name"]: metric for metric in document["metrics"]}
         sample = by_name["repro_test_ms"]["samples"][0]
         assert sample["count"] == 3 and sample["sum"] == 101.0
-        assert [bucket["count"] for bucket in sample["buckets"]] == [1, 2, 3]
+        assert [bucket["count"] for bucket in sample["buckets"]] == [
+            1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3]
         assert sample["buckets"][-1]["le"] == "+Inf"
         assert by_name["repro_test_total"]["samples"][0]["value"] == 3.0
 

@@ -20,8 +20,7 @@ def populated_registry():
     registry.counter("repro_queries_total", "queries").inc(server="mec")
     registry.counter("repro_queries_total", "queries").inc(server="mec")
     registry.gauge("repro_queue_depth", "queue").set(4.0, server="mec")
-    hist = registry.histogram("repro_latency_ms", "latency",
-                              buckets=(10.0, 100.0))
+    hist = registry.histogram("repro_latency_ms", "latency")
     hist.observe(5.0)
     hist.observe(50.0)
     return registry
@@ -159,17 +158,19 @@ class TestJsonArtifact:
 class TestOpenMetricsExemplars:
     def exemplar_registry(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("repro_lookup_latency_ms", "latency",
-                                  buckets=(10.0, 100.0))
+        hist = registry.histogram("repro_lookup_latency_ms", "latency")
         hist.observe(5.0, exemplar={"trace_id": "17"})
         hist.observe(50.0, exemplar={"trace_id": "23"})
         return registry
 
     def test_bucket_lines_carry_exemplars(self):
         text = to_prometheus_text(self.exemplar_registry())
-        assert ('repro_lookup_latency_ms_bucket{le="10"} 1 '
+        # Each exemplar rides the bucket its value landed in; the
+        # cumulative buckets between them carry none.
+        assert ('repro_lookup_latency_ms_bucket{le="5"} 1 '
                 '# {trace_id="17"} 5' in text)
-        assert ('repro_lookup_latency_ms_bucket{le="100"} 2 '
+        assert 'repro_lookup_latency_ms_bucket{le="10"} 1\n' in text
+        assert ('repro_lookup_latency_ms_bucket{le="50"} 2 '
                 '# {trace_id="23"} 50' in text)
 
     def test_sum_and_count_lines_unchanged(self):
@@ -194,14 +195,14 @@ class TestOpenMetricsExemplars:
 
     def test_exemplar_label_values_escaped(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("h", "help", buckets=(10.0,))
+        hist = registry.histogram("h", "help")
         hist.observe(5.0, exemplar={"key": 'a"b\\c\nd'})
         text = to_prometheus_text(registry)
         assert '# {key="a\\"b\\\\c\\nd"} 5' in text
 
     def test_last_observation_wins_per_bucket(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("h", "help", buckets=(10.0,))
+        hist = registry.histogram("h", "help")
         hist.observe(3.0, exemplar={"trace_id": "1"})
         hist.observe(4.0, exemplar={"trace_id": "2"})
         text = to_prometheus_text(registry)
@@ -210,7 +211,7 @@ class TestOpenMetricsExemplars:
 
     def test_buckets_without_exemplars_have_no_suffix(self):
         registry = MetricsRegistry()
-        registry.histogram("h", "help", buckets=(10.0,)).observe(5.0)
+        registry.histogram("h", "help").observe(5.0)
         text = to_prometheus_text(registry)
         assert " # " not in text
 

@@ -78,7 +78,7 @@ class TestHistogram:
         assert DEFAULT_BUCKETS[-1] == math.inf
 
     def test_observe_counts_and_sums(self):
-        hist = Histogram("h", "help", buckets=(1.0, 10.0))
+        hist = Histogram("h", "help")
         hist.observe(0.5)
         hist.observe(5.0)
         hist.observe(100.0)
@@ -86,22 +86,28 @@ class TestHistogram:
         assert hist.sum() == pytest.approx(105.5)
 
     def test_cumulative_buckets(self):
-        hist = Histogram("h", "help", buckets=(1.0, 10.0))
+        hist = Histogram("h", "help")
         hist.observe(0.5)
         hist.observe(5.0)
         hist.observe(100.0)
-        cumulative = dict(hist.cumulative_buckets())
+        (_, sample), = hist.samples()
+        cumulative = dict(sample.cumulative())
         assert cumulative[1.0] == 1
+        assert cumulative[5.0] == 2   # a value on a bound lands in it
         assert cumulative[10.0] == 2
+        assert cumulative[100.0] == 3
         assert cumulative[math.inf] == 3
 
     def test_inf_bucket_always_present(self):
-        hist = Histogram("h", "help", buckets=(5.0,))
-        hist.observe(999.0)
-        assert dict(hist.cumulative_buckets())[math.inf] == 1
+        hist = Histogram("h", "help")
+        hist.observe(1e9)
+        (_, sample), = hist.samples()
+        cumulative = dict(sample.cumulative())
+        assert cumulative[DEFAULT_BUCKETS[-2]] == 0
+        assert cumulative[math.inf] == 1
 
     def test_labelled_histograms(self):
-        hist = Histogram("h", "help", buckets=(10.0,))
+        hist = Histogram("h", "help")
         hist.observe(1.0, site="edge")
         hist.observe(2.0, site="cloud")
         assert hist.count(site="edge") == 1

@@ -4,22 +4,27 @@ import json
 
 import pytest
 
-from repro.telemetry.metrics import DEFAULT_BUCKETS
-from repro.telemetry.timeseries import TimeSeries
+from repro.telemetry.metrics import BucketCounts
+from repro.telemetry.timeseries import (MAX_ANNOTATIONS, MAX_WINDOWS,
+                                        TimeSeries)
 
 
-def label_windows(series_list):
-    """``{labels-tuple: windows}`` view of a *_series() result."""
-    return {key: windows for key, windows in series_list}
+def windows_of(series, name):
+    """``{label-items: {window index: window}}`` from ``to_dict()``."""
+    return {tuple(sorted(entry["labels"].items())):
+            {window["index"]: window for window in entry["windows"]}
+            for entry in series.to_dict()["series"] if entry["name"] == name}
 
 
 class TestRecording:
     def test_window_index(self):
         series = TimeSeries(window_ms=250.0)
-        assert series.window_index(0.0) == 0
-        assert series.window_index(249.9) == 0
-        assert series.window_index(250.0) == 1
-        assert series.window_index(1000.0) == 4
+        for t_ms in (0.0, 249.9, 250.0, 1000.0):
+            series.count("q", t_ms)
+        (windows,) = windows_of(series, "q").values()
+        assert {index: window["value"] for index, window in windows.items()} \
+            == {0: 2.0, 1: 1.0, 4: 1.0}
+        assert windows[4]["start_ms"] == 1000.0
 
     def test_counts_accumulate_per_window_and_label(self):
         series = TimeSeries(window_ms=100.0)
@@ -27,19 +32,21 @@ class TestRecording:
         series.count("hits", 20.0, site="a")
         series.count("hits", 150.0, site="a")
         series.count("hits", 10.0, site="b")
-        windows = label_windows(series.counter_series("hits"))
-        assert windows[(("site", "a"),)] == {0: 2.0, 1: 1.0}
-        assert windows[(("site", "b"),)] == {0: 1.0}
+        values = {labels: {index: window["value"]
+                           for index, window in windows.items()}
+                  for labels, windows in windows_of(series, "hits").items()}
+        assert values[(("site", "a"),)] == {0: 2.0, 1: 1.0}
+        assert values[(("site", "b"),)] == {0: 1.0}
 
     def test_observe_builds_count_sum_buckets(self):
         series = TimeSeries(window_ms=100.0)
         series.observe("lat", 50.0, 3.0)
         series.observe("lat", 60.0, 7.0)
-        ((_, windows),) = series.latency_series("lat")
-        count, total, buckets = windows[0]
-        assert count == 2
-        assert total == 10.0
-        assert sum(buckets) == 2
+        (windows,) = windows_of(series, "lat").values()
+        window = windows[0]
+        assert window["count"] == 2
+        assert window["sum"] == 10.0
+        assert window["buckets"] == [[5.0, 1], [10.0, 1]]
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
@@ -66,12 +73,9 @@ class TestBulkIngestion:
         values = [2.0, 9.0, 45.0]
         for value in values:
             loop.observe("lat", 50.0, value, site="s")
-        cell = [0, 0.0, [0] * len(DEFAULT_BUCKETS)]
-        from bisect import bisect_left
+        cell = BucketCounts()
         for value in values:
-            cell[0] += 1
-            cell[1] += value
-            cell[2][bisect_left(DEFAULT_BUCKETS, value)] += 1
+            cell.add(value)
         bulk.bulk_observe("lat", {"site": "s"}, {0: cell})
         assert loop.to_dict() == bulk.to_dict()
 
@@ -101,17 +105,20 @@ class TestMerge:
 
 class TestBounds:
     def test_old_windows_pruned(self):
-        series = TimeSeries(window_ms=100.0, max_windows=4)
-        for window in range(10):
+        series = TimeSeries(window_ms=100.0)
+        for window in range(MAX_WINDOWS + 1):
             series.count("q", window * 100.0)
-        ((_, windows),) = series.counter_series("q")
-        assert sorted(windows) == [6, 7, 8, 9]
+            series.observe("lat", window * 100.0, 1.0)
+        for name in ("q", "lat"):
+            (windows,) = windows_of(series, name).values()
+            assert sorted(windows) == list(range(1, MAX_WINDOWS + 1))
 
     def test_annotations_capped_earliest_kept(self):
-        series = TimeSeries(max_annotations=3)
-        for at in (5.0, 1.0, 4.0, 2.0, 3.0):
-            series.annotate(at, "e")
-        assert [a[0] for a in series.annotations()] == [1.0, 2.0, 3.0]
+        series = TimeSeries()
+        for at in range(MAX_ANNOTATIONS + 1, 0, -1):
+            series.annotate(float(at), "e")
+        assert [a[0] for a in series.annotations()] == [
+            float(at) for at in range(1, MAX_ANNOTATIONS + 1)]
 
 
 class TestDocument:

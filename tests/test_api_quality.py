@@ -105,6 +105,20 @@ def test_experiments_package_exports_no_runners():
     assert not runners, f"repro.experiments re-exports runners: {runners}"
 
 
+def test_telemetry_takes_only_the_options_a_caller_sets():
+    # One bucket layout and fixed window/annotation bounds: the knobs no
+    # caller set are module constants, not options.
+    from repro.telemetry import (Histogram, MetricsRegistry, Telemetry,
+                                 TelemetryConfig, TimeSeries)
+    assert TelemetryConfig._fields == ("trace_sample", "window_ms",
+                                       "tail_capacity")
+    removed = {"buckets", "max_windows", "max_annotations", "tracing"}
+    for target in (Histogram, MetricsRegistry.histogram, TimeSeries,
+                   Telemetry):
+        assert not removed & set(inspect.signature(target).parameters), \
+            target
+
+
 #: Refuses every import from outside the standard library, then imports
 #: every module and builds the experiment registry.
 _STDLIB_ONLY_PROBE = """
