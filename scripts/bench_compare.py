@@ -1,35 +1,18 @@
 #!/usr/bin/env python
-"""Compare fresh bench documents against committed baselines.
+"""Compare a fresh ``repro profile`` bench document against a baseline.
 
-The perf-trajectory gate.  Two document kinds are understood, selected
-by their ``format`` tag:
-
-``repro-bench-profile-v1`` (written by ``repro profile <experiment>``)::
+The perf-trajectory gate for ``repro-bench-profile-v1`` documents,
+written by ``repro profile <experiment>``::
 
     PYTHONPATH=src python -m repro.cli profile figure5 --out-dir out
     python scripts/bench_compare.py out/BENCH_profile.json \
         --baseline BENCH_profile.json [--tolerance 1.3] [--strict]
 
-  Gates wall time (above ``tolerance ×`` baseline) and event throughput
-  (below ``baseline / tolerance``).  With ``--min-speedup N`` the
-  current document must additionally show ``events_per_s >= N ×``
-  baseline — point it at a frozen pre-optimisation baseline (see
-  ``perf/``) to assert a speedup has not been lost.
-
-``repro-bench-runtime-v1`` (written by ``scripts/bench_runtime.py``)::
-
-    python scripts/bench_runtime.py --out out/BENCH_runtime.json
-    python scripts/bench_compare.py out/BENCH_runtime.json \
-        --baseline BENCH_runtime.json [--strict]
-
-  Gates each (tier, experiment) row's serial and sharded wall time
-  against the matching baseline row, and gates the **scaled** tier's
-  sharded speedup.  The speedup floor is CPU-aware, because the number
-  means different things on different boxes: with 2+ cores the
-  persistent pool must actually win (``speedup > 1.0``); on a
-  single-core runner there is no parallelism to win back and the gate
-  only checks that chunked dispatch keeps the overhead amortised
-  (``speedup >= 0.85``).
+Gates wall time (above ``tolerance ×`` baseline) and event throughput
+(below ``baseline / tolerance``).  With ``--min-speedup N`` the current
+document must additionally show ``events_per_s >= N ×`` baseline —
+point it at a frozen pre-optimisation baseline (see ``perf/``) to
+assert a speedup has not been lost.
 
 Wall-clock numbers are noisy across machines and CI runners, so the
 default mode only **warns** on regression (exit 0); ``--strict`` turns
@@ -46,22 +29,16 @@ import json
 import sys
 
 PROFILE_FORMAT = "repro-bench-profile-v1"
-RUNTIME_FORMAT = "repro-bench-runtime-v1"
-
-#: Sharded-speedup floor by core availability (scaled tier only).
-MULTI_CORE_SPEEDUP_FLOOR = 1.0
-SINGLE_CORE_SPEEDUP_FLOOR = 0.85
 
 
-def _load(path: str, formats) -> dict:
+def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot load {path}: {exc}")
-    if not isinstance(document, dict) or document.get("format") not in formats:
-        raise SystemExit(
-            f"error: {path} is not one of {', '.join(sorted(formats))}")
+    if not isinstance(document, dict) or document.get("format") != PROFILE_FORMAT:
+        raise SystemExit(f"error: {path} is not a {PROFILE_FORMAT} document")
     return document
 
 
@@ -110,66 +87,18 @@ def _compare_profile(current: dict, baseline: dict, tolerance: float,
     return regressions
 
 
-def _runtime_rows(document: dict) -> dict:
-    rows = {}
-    for row in document.get("results", ()):
-        # Pre-tier baselines carry no "tier"; treat them as tiny.
-        rows[(row.get("tier", "tiny"), row.get("experiment"))] = row
-    return rows
-
-
-def _compare_runtime(current: dict, baseline: dict, tolerance: float) -> list:
-    regressions = []
-    jobs = current.get("jobs", 2)
-    sharded_key = f"jobs{jobs}_s"
-    cpu_count = int(current.get("cpu_count") or 1)
-    floor = (MULTI_CORE_SPEEDUP_FLOOR if cpu_count >= 2
-             else SINGLE_CORE_SPEEDUP_FLOOR)
-    base_rows = _runtime_rows(baseline)
-
-    for (tier, name), row in sorted(_runtime_rows(current).items()):
-        label = f"[{tier}] {name}"
-        base = base_rows.get((tier, name))
-        for column in ("serial_s", sharded_key):
-            now = row.get(column)
-            was = base.get(column) if base else None
-            if now is None:
-                continue
-            if was:
-                print(f"{label} {column}: {now:.3f} now vs {was:.3f} "
-                      f"baseline (x{now / was:.2f})")
-                if now > was * tolerance:
-                    regressions.append(
-                        f"{label} {column} {now:.3f} exceeds "
-                        f"{tolerance:.2f}x baseline {was:.3f}")
-            else:
-                print(f"{label} {column}: {now:.3f} now (no baseline row)")
-        if base and row.get("digest") != base.get("digest"):
-            print(f"note: {label} digest changed: {base.get('digest')} -> "
-                  f"{row.get('digest')} (behaviour change, not gated)")
-        speedup = row.get("speedup")
-        if tier == "scaled" and speedup is not None:
-            print(f"{label} sharded speedup: x{speedup:.2f} "
-                  f"(floor x{floor:.2f} on {cpu_count} cpu(s))")
-            if speedup < floor:
-                regressions.append(
-                    f"{label} sharded speedup x{speedup:.2f} below the "
-                    f"x{floor:.2f} floor for {cpu_count} cpu(s)")
-    return regressions
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="freshly produced bench document")
     parser.add_argument("--baseline", default="BENCH_profile.json",
-                        help="committed baseline of the same format "
+                        help="committed baseline document "
                              "(default: BENCH_profile.json)")
     parser.add_argument("--tolerance", type=float, default=1.3,
                         help="allowed slowdown factor before a regression "
                              "is declared (default: 1.3)")
     parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="profile documents only: require "
-                             "events_per_s >= N x baseline (default: off)")
+                        help="require events_per_s >= N x baseline "
+                             "(default: off)")
     parser.add_argument("--strict", action="store_true",
                         help="exit 1 on regression instead of warning")
     args = parser.parse_args()
@@ -178,16 +107,9 @@ def main() -> int:
     if args.min_speedup < 0.0:
         parser.error("--min-speedup must be >= 0")
 
-    current = _load(args.current, {PROFILE_FORMAT, RUNTIME_FORMAT})
-    baseline = _load(args.baseline, {current["format"]})
-
-    if current["format"] == PROFILE_FORMAT:
-        regressions = _compare_profile(current, baseline, args.tolerance,
-                                       args.min_speedup)
-    else:
-        if args.min_speedup:
-            parser.error("--min-speedup applies to profile documents only")
-        regressions = _compare_runtime(current, baseline, args.tolerance)
+    regressions = _compare_profile(_load(args.current),
+                                   _load(args.baseline), args.tolerance,
+                                   args.min_speedup)
 
     if not regressions:
         print("bench_compare: OK — within tolerance")

@@ -9,6 +9,7 @@ import pytest
 from repro import telemetry
 from repro.runtime import (Experiment, Param, TrialExecutor, derive_seed,
                            merge_profile_stats, result_digest)
+from repro.runtime.executor import get_worker_pool
 
 
 class SquareExperiment(Experiment):
@@ -90,6 +91,15 @@ class TestExecutor:
         # Payload seeds travelled through the pickle boundary unchanged.
         assert [o.payload for o in pooled.outcomes] == \
             [o.payload for o in serial.outcomes]
+
+    def test_sharded_runs_reuse_one_pool(self):
+        # Forking a fresh pool per sweep was most of the sharding
+        # overhead; back-to-back sharded runs share one pool.
+        TrialExecutor(jobs=2).run(SquareExperiment())
+        pool = get_worker_pool(2)
+        run = TrialExecutor(jobs=2).run(SquareExperiment())
+        assert run.executor_stats.pool_reused
+        assert get_worker_pool(2) is pool
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_trial_failure_is_isolated(self, jobs):

@@ -81,6 +81,12 @@ class TestZeroPerturbation:
         bare, (serial, _), (sharded, _) = population_runs
         assert serial.result == bare.result
         assert sharded.result == bare.result
+        # A deeper tail reservoir, as population throughput runs have
+        # sampled with, must leave the result alone too.
+        deep_tail, _ = run_experiment(
+            "population", POPULATION_OVERRIDES, jobs=1,
+            config=POPULATION_CONFIG._replace(tail_capacity=32))
+        assert deep_tail.result == bare.result
 
     def test_churn_result_identical_with_telemetry_on(self, churn_runs):
         bare, (serial, _), (sharded, _) = churn_runs
